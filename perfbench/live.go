@@ -155,10 +155,10 @@ type liveInst struct {
 	load      []*dvlib.Client
 	loadCtx   [][]*dvlib.Context // per client, per context
 	sweepPos  int
-	warm      phaseResult // the set-up's untimed warm pass
+	warm      *phaseResult // the set-up's untimed warm pass
 	nextID    atomic.Uint64
 	sideDeliv atomic.Int64 // deliveries to the benchmark's own hub subscriptions
-	pubDeliv  []time.Duration
+	pubDeliv  *latencies   // traced: publish→deliver of explorer steps
 	pubMu     sync.Mutex
 }
 
@@ -200,7 +200,7 @@ func setupLive(in *liveInputs, workDir string, tr *tracer) (li *liveInst, err er
 	if err != nil {
 		return nil, fmt.Errorf("work dir: %w", err)
 	}
-	li = &liveInst{in: in, tr: tr, dir: dir}
+	li = &liveInst{in: in, tr: tr, dir: dir, warm: newPhaseResult(), pubDeliv: newLatencies()}
 	defer func() {
 		if err != nil {
 			li.close()
@@ -271,7 +271,7 @@ func setupLive(in *liveInputs, workDir string, tr *tracer) (li *liveInst, err er
 	}
 	// A failed warm-pass access does not abort the set-up: the timed
 	// phase counts the same failures where they are reported.
-	li.runClients(time.Time{}, &li.warm)
+	li.runClients(time.Time{}, li.warm)
 	return li, nil
 }
 
@@ -392,11 +392,15 @@ func (li *liveInst) close() {
 type phaseResult struct {
 	attempted, failed int64
 	firstErr          string
-	hitLat, missLat   []time.Duration
+	hitLat, missLat   *latencies
 	readerAcc         int64        // accesses made as hits (resim-mixed: the reader's)
 	explorerAcc       int64        // accesses made as misses (resim-mixed: the explorer's)
 	completed         atomic.Int64 // accesses that succeeded, for the sampler
 	mu                sync.Mutex
+}
+
+func newPhaseResult() *phaseResult {
+	return &phaseResult{hitLat: newLatencies(), missLat: newLatencies()}
 }
 
 func (p *phaseResult) add(lat time.Duration, miss bool, err error) {
@@ -417,9 +421,9 @@ func (p *phaseResult) add(lat time.Duration, miss bool, err error) {
 	}
 	p.completed.Add(1)
 	if miss {
-		p.missLat = append(p.missLat, lat)
+		p.missLat.add(lat)
 	} else {
-		p.hitLat = append(p.hitLat, lat)
+		p.hitLat.add(lat)
 	}
 }
 
@@ -547,7 +551,7 @@ func (li *liveInst) explore(dc *dvlib.Context, f fileRef) (time.Duration, error)
 		tap.mu.Unlock()
 		if known {
 			li.pubMu.Lock()
-			li.pubDeliv = append(li.pubDeliv, time.Duration(at-pub))
+			li.pubDeliv.add(time.Duration(at - pub))
 			li.pubMu.Unlock()
 		}
 	}

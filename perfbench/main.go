@@ -21,7 +21,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 )
 
 // workloads in the order "-workload all" runs them.
@@ -100,7 +99,6 @@ type options struct {
 	seed     int64
 	seconds  int
 	trace    bool
-	setups   int
 	workDir  string
 	spanDir  string
 	// corrupt, when set, alters the expected values before the run (the
@@ -148,15 +146,14 @@ func run(args []string, stdout, stderr io.Writer, corrupt func(map[string]meanVa
 	fs.Int64Var(&o.seed, "seed", 1, "workload seed")
 	fs.IntVar(&o.seconds, "seconds", 15, "length of the timed phase")
 	traceFlag := fs.Int("trace", 0, "1 for the traced run (per-layer metrics)")
-	fs.IntVar(&o.setups, "setups", 5, "set-ups per run; setup_s is their median")
 	fs.StringVar(&o.workDir, "work-dir", ".bench_build/work", "scratch directory for the daemons' storage areas")
 	fs.StringVar(&o.spanDir, "span-dir", ".bench_build/spans", "where traced runs write their spans")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	o.trace = *traceFlag == 1
-	if o.seconds < 1 || o.setups < 1 || (*traceFlag != 0 && *traceFlag != 1) {
-		fmt.Fprintln(stderr, "perfbench: -seconds and -setups must be positive, -trace 0 or 1")
+	if o.seconds < 1 || (*traceFlag != 0 && *traceFlag != 1) {
+		fmt.Fprintln(stderr, "perfbench: -seconds must be positive, -trace 0 or 1")
 		return 2
 	}
 	names := []string{o.workload}
@@ -306,20 +303,22 @@ func spanNotes(sums map[string]*spanSummary) []string {
 }
 
 // tailNote formats a latency sample's p50 and its reference tail: the
-// highest of p99/p90 with at least ten samples beyond it.
-func tailNote(label string, ds []time.Duration) string {
-	n := len(ds)
-	if n == 0 {
+// highest of p99/p90 with at least ten sampled latencies beyond it. n is
+// every latency offered; the quantiles come from the sample of at most
+// latCap of them.
+func tailNote(label string, l *latencies) string {
+	kept := len(l.buf)
+	if kept == 0 {
 		return label + ": no samples"
 	}
-	p50 := durQuantile(ds, 0.5, time.Microsecond)
+	p50 := l.quantile(0.5)
 	switch {
-	case n >= 1000:
-		return fmt.Sprintf("%s: p50 %.1f us, p99 %.1f us (n=%d)", label, p50, durQuantile(ds, 0.99, time.Microsecond), n)
-	case n >= 100:
-		return fmt.Sprintf("%s: p50 %.1f us, p90 %.1f us (n=%d)", label, p50, durQuantile(ds, 0.9, time.Microsecond), n)
+	case kept >= 1000:
+		return fmt.Sprintf("%s: p50 %.1f us, p99 %.1f us (n=%d, %d sampled)", label, p50, l.quantile(0.99), l.n, kept)
+	case kept >= 100:
+		return fmt.Sprintf("%s: p50 %.1f us, p90 %.1f us (n=%d)", label, p50, l.quantile(0.9), l.n)
 	}
-	return fmt.Sprintf("%s: p50 %.1f us (n=%d)", label, p50, n)
+	return fmt.Sprintf("%s: p50 %.1f us (n=%d)", label, p50, l.n)
 }
 
 // ratio returns a/b, or 0 when b is 0.

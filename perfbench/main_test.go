@@ -16,7 +16,7 @@ func runBench(t *testing.T, workload string, trace string, corrupt func(map[stri
 	t.Helper()
 	var stdout, stderr bytes.Buffer
 	args := []string{"-workload", workload, "-seed", "7", "-seconds", "1", "-trace", trace,
-		"-setups", "1", "-work-dir", t.TempDir(), "-span-dir", t.TempDir()}
+		"-work-dir", t.TempDir(), "-span-dir", t.TempDir()}
 	code := run(args, &stdout, &stderr, corrupt)
 	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
 	var res jsonResult

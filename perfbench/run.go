@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -13,25 +14,30 @@ import (
 // cpu_us_per_access are measured before their median is taken.
 const sampleEvery = 250 * time.Millisecond
 
-// setupRuns performs o.setups set-ups, closing all but the last, and
-// returns the last with the median set-up time in seconds.
-func setupRuns[T any](o options, setup func() (T, error), closeFn func(T)) (T, float64, error) {
-	var times []float64
+// setups is how many set-ups one run performs. setup_s is the fastest of
+// them: interference from outside the process only ever adds to a
+// set-up's time, so the minimum moves least between runs.
+const setups = 5
+
+// setupRuns performs setups set-ups, closing all but the last, and
+// returns the last with the fastest set-up time in seconds.
+func setupRuns[T any](setup func() (T, error), closeFn func(T)) (T, float64, error) {
 	var inst T
-	for i := 0; i < o.setups; i++ {
+	best := math.Inf(1)
+	for i := 0; i < setups; i++ {
 		t0 := wallNow()
 		x, err := setup()
 		if err != nil {
 			return inst, 0, fmt.Errorf("set-up: %w", err)
 		}
-		times = append(times, wallNow().Sub(t0).Seconds())
-		if i < o.setups-1 {
+		best = min(best, wallNow().Sub(t0).Seconds())
+		if i < setups-1 {
 			closeFn(x)
 		} else {
 			inst = x
 		}
 	}
-	return inst, median(times), nil
+	return inst, best, nil
 }
 
 func runLive(o options) (*report, error) {
@@ -43,7 +49,7 @@ func runLive(o options) (*report, error) {
 	if o.trace {
 		tr = newTracer()
 	}
-	li, setupS, err := setupRuns(o, func() (*liveInst, error) { return setupLive(in, o.workDir, tr) },
+	li, setupS, err := setupRuns(func() (*liveInst, error) { return setupLive(in, o.workDir, tr) },
 		func(li *liveInst) { li.close() })
 	if err != nil {
 		return nil, err
@@ -56,13 +62,13 @@ func runLive(o options) (*report, error) {
 		return nil, err
 	}
 	tr.reset()
-	li.pubDeliv = nil
+	li.pubDeliv = newLatencies()
 	side0 := li.sideDeliv.Load()
+	res := newPhaseResult()
 	freeHeap()
 	mem0, cpu0, t0 := readMem(), cpuTime(), wallNow()
-	var res phaseResult
 	smp := startSampler(&res.completed, sampleEvery)
-	li.runClients(t0.Add(time.Duration(o.seconds)*time.Second), &res)
+	li.runClients(t0.Add(time.Duration(o.seconds)*time.Second), res)
 	rate, cpuPer, rss := smp.finish()
 	wall, cpu, mem1 := wallNow().Sub(t0), cpuTime()-cpu0, readMem()
 	after, err := li.counters()
@@ -96,17 +102,17 @@ func runLive(o options) (*report, error) {
 
 	m := rep.metrics
 	m["access_per_s"] = rate
-	m["hit_access_p50_us"] = durQuantile(res.hitLat, 0.5, time.Microsecond)
+	m["hit_access_p50_us"] = res.hitLat.quantile(0.5)
 	m["cpu_us_per_access"] = cpuPer
-	rep.notes = append(rep.notes, fmt.Sprintf("whole phase: %.0f accesses/s, %.1f us CPU per access over %.1f s",
-		done/wall.Seconds(), ratio(float64(cpu)/1e3, done), wall.Seconds()))
+	rep.notes = append(rep.notes, fmt.Sprintf("whole phase: %.0f accesses/s, %.1f us CPU per access over %.1f s, %d GC cycles",
+		done/wall.Seconds(), ratio(float64(cpu)/1e3, done), wall.Seconds(), mem1.gcs-mem0.gcs))
 	m["rss_mb"] = rss
 	if o.workload == "resim-mixed" {
 		rep.notes = append(rep.notes,
 			tailNote("reader (hit) access", res.hitLat),
 			tailNote("explorer (re-simulation) access", res.missLat),
 			fmt.Sprintf("accesses: reader %d, explorer %d", res.readerAcc, res.explorerAcc))
-		m["workload.resim_access_p50_us"] = durQuantile(res.missLat, 0.5, time.Microsecond)
+		m["workload.resim_access_p50_us"] = res.missLat.quantile(0.5)
 	} else {
 		rep.notes = append(rep.notes, tailNote("hit access", res.hitLat))
 	}
@@ -172,7 +178,7 @@ func runLive(o options) (*report, error) {
 		}
 	}
 	m["vfs.used_mb"] = float64(used) / (1 << 20)
-	m["notify.publish_to_deliver_p50_us"] = durQuantile(li.pubDeliv, 0.5, time.Microsecond)
+	m["notify.publish_to_deliver_p50_us"] = li.pubDeliv.quantile(0.5)
 	side := float64(li.sideDeliv.Load() - side0)
 	m["notify.delivered_per_resim"] = ratio(float64(after.hubDel-before.hubDel)-side, float64(restarts))
 	m["proc.allocs_per_access"] = ratio(float64(mem1.mallocs-mem0.mallocs), done)
@@ -262,10 +268,9 @@ func runDES(o options) (*report, error) {
 	// traces untimed; their outcomes are the reference the timed replays
 	// of the same traces must reproduce exactly.
 	never := func() bool { return true }
-	ref, setupS, err := setupRuns(o, func() ([]desOutcome, error) {
-		var completed atomic.Int64
-		runners, outs, _ := replayTraces(in, tr, &completed, desExact, never)
-		r := merge(runners)
+	ref, setupS, err := setupRuns(func() ([]desOutcome, error) {
+		r := &desRunner{in: in, tr: tr, completed: new(atomic.Int64), hitLat: newLatencies()}
+		outs, _ := r.replayTraces(desExact, never)
 		if r.failed > 0 || len(r.props) > 0 {
 			return nil, fmt.Errorf("warm pass: %d failed (%s) %v", r.failed, r.firstErr, r.props)
 		}
@@ -276,25 +281,27 @@ func runDES(o options) (*report, error) {
 	}
 	tr.reset()
 	rep := &report{workload: o.workload, metrics: map[string]float64{"setup_s": setupS}}
+	r := &desRunner{in: in, tr: tr, completed: new(atomic.Int64), hitLat: newLatencies()}
 	freeHeap()
-	var completed atomic.Int64
 	mem0, cpu0, t0 := readMem(), cpuTime(), wallNow()
 	deadline := t0.Add(time.Duration(o.seconds) * time.Second)
-	smp := startSampler(&completed, sampleEvery)
-	runners, outs, ctrs := replayTraces(in, tr, &completed, desExact, func() bool { return !wallNow().Before(deadline) })
+	smp := startSampler(r.completed, sampleEvery)
+	outs, ctrs := r.replayTraces(desExact, func() bool { return !wallNow().Before(deadline) })
 	rate, cpuPer, rss := smp.finish()
 	wall, cpu, mem1 := wallNow().Sub(t0), cpuTime()-cpu0, readMem()
-	r := merge(runners)
 
 	// The first desExact traces give the exact virtual-time outcome and
 	// counters.
 	var exact desOutcome
 	var c desCounters
+	var completions []float64 // s
 	for n, out := range outs {
 		if !out.equal(ref[n]) {
 			r.props = append(r.props, fmt.Sprintf("trace %d: virtual-time outcome differs from its set-up replay", n))
 		}
-		exact.completions = append(exact.completions, out.completions...)
+		for _, d := range out.completions {
+			completions = append(completions, d.Seconds())
+		}
 		exact.resimSteps += out.resimSteps
 		exact.restarts += out.restarts
 		c.add(ctrs[n])
@@ -305,16 +312,16 @@ func runDES(o options) (*report, error) {
 	done := float64(r.accesses - r.failed)
 	m := rep.metrics
 	m["access_per_s"] = rate
-	m["hit_access_p50_us"] = durQuantile(r.hitLat, 0.5, time.Microsecond)
+	m["hit_access_p50_us"] = r.hitLat.quantile(0.5)
 	m["cpu_us_per_access"] = cpuPer
 	m["rss_mb"] = rss
-	m["workload.virtual_completion_p50_s"] = durQuantile(exact.completions, 0.5, time.Second)
+	m["workload.virtual_completion_p50_s"] = pct(completions, 0.5)
 	m["workload.resim_steps"] = float64(exact.resimSteps)
 	m["workload.restarts"] = float64(exact.restarts)
 	m["core.retries"] = float64(c.retries)
 	rep.notes = append(rep.notes,
-		fmt.Sprintf("whole phase: %.0f accesses/s, %.1f us CPU per access over %.1f s, %d traces of %d analyses on %d workers",
-			done/wall.Seconds(), ratio(float64(cpu)/1e3, done), wall.Seconds(), r.traces, desAnalyses, desWorkers),
+		fmt.Sprintf("whole phase: %.0f accesses/s, %.1f us CPU per access over %.1f s, %d traces of %d analyses, %d GC cycles",
+			done/wall.Seconds(), ratio(float64(cpu)/1e3, done), wall.Seconds(), r.traces, desAnalyses, mem1.gcs-mem0.gcs),
 		fmt.Sprintf("first %d traces: virtual completion p50 %.1f s, re-simulated steps %d, restarts %d, retried accesses %d",
 			desExact, m["workload.virtual_completion_p50_s"], exact.resimSteps, exact.restarts, c.retries),
 		tailNote("hit access (core Open+Release wall time)", r.hitLat))
@@ -359,21 +366,4 @@ func runDES(o options) (*report, error) {
 	rep.notes = append(rep.notes, fmt.Sprintf("spans dropped past the in-memory cap: %d", tr.dropped))
 	rep.spanFile, err = tr.write(o.spanDir, fmt.Sprintf("%s-seed%d", o.workload, o.seed))
 	return rep, err
-}
-
-// merge folds the workers' runners into one.
-func merge(runners []*desRunner) *desRunner {
-	m := &desRunner{}
-	for _, r := range runners {
-		m.hitLat = append(m.hitLat, r.hitLat...)
-		m.accesses += r.accesses
-		m.failed += r.failed
-		if m.firstErr == "" {
-			m.firstErr = r.firstErr
-		}
-		m.props = append(m.props, r.props...)
-		m.total.add(r.total)
-		m.traces += r.traces
-	}
-	return m
 }

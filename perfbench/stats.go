@@ -4,39 +4,63 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
+
+	"simfs/internal/metrics"
 )
 
-// quantile returns the q-quantile (0..1) of xs by nearest rank; xs is
-// sorted in place. It returns 0 for an empty slice.
-func quantile(xs []float64, q float64) float64 {
+// pct returns the q-quantile (0..1) of xs, or 0 for an empty sample (a
+// metric of a layer the workload does not exercise).
+func pct(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	sort.Float64s(xs)
-	i := int(q*float64(len(xs)-1) + 0.5)
-	return xs[i]
+	return metrics.Percentile(xs, q)
 }
 
-// durQuantile is quantile over durations, in the given unit.
-func durQuantile(ds []time.Duration, q float64, unit time.Duration) float64 {
-	if len(ds) == 0 {
-		return 0
+// latCap is how many latencies a latencies sample keeps (512 KiB).
+const latCap = 1 << 16
+
+// latencies is a uniform random sample of at most latCap latencies, in µs,
+// kept by reservoir sampling in a buffer allocated and written in full
+// when the sample is made. The benchmark's own memory therefore does not
+// grow with the number of accesses, and the timed phase's resident set
+// does not follow its throughput.
+type latencies struct {
+	n   int64 // latencies offered
+	buf []float64
+	rng uint64 // xorshift64 state: the same sequence on every run
+}
+
+func newLatencies() *latencies {
+	buf := make([]float64, latCap)
+	for i := range buf {
+		buf[i] = 1 // fault every page in now, not during the timed phase
 	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-	i := int(q*float64(len(ds)-1) + 0.5)
-	return float64(ds[i]) / float64(unit)
+	return &latencies{buf: buf[:0], rng: 0x9e3779b97f4a7c15}
 }
 
-// median returns the median of xs (nearest rank), leaving xs unsorted.
-func median(xs []float64) float64 {
-	return quantile(append([]float64(nil), xs...), 0.5)
+func (l *latencies) add(d time.Duration) {
+	l.n++
+	us := float64(d) / 1e3
+	if len(l.buf) < cap(l.buf) {
+		l.buf = append(l.buf, us)
+		return
+	}
+	l.rng ^= l.rng << 13
+	l.rng ^= l.rng >> 7
+	l.rng ^= l.rng << 17
+	if j := l.rng % uint64(l.n); j < uint64(len(l.buf)) {
+		l.buf[j] = us
+	}
 }
+
+// quantile returns the sample's q-quantile in µs (0 when empty).
+func (l *latencies) quantile(q float64) float64 { return pct(l.buf, q) }
 
 // cpuTime returns the process's user plus system CPU time.
 func cpuTime() time.Duration {
@@ -137,7 +161,7 @@ func (s *sampler) finish() (rate, cpuPerAccessUs, rss float64) {
 			cpus = append(cpus, float64(b.cpu-a.cpu)/1e3/n)
 		}
 	}
-	return median(rates), median(cpus), median(rsss)
+	return pct(rates, 0.5), pct(cpus, 0.5), pct(rsss, 0.5)
 }
 
 // freeHeap collects the heap and returns freed memory to the OS, so the

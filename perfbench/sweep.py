@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
-"""Steadiness sweep: run one workload N times, each with another seed.
+"""Steadiness sweep: run one workload N times, with seeds 1..N.
 
-    python3 perfbench/sweep.py --workload warm-scan --runs 10 [--seconds 15] [--first-seed 1]
-    python3 perfbench/sweep.py --workload all --runs 10 --overhead
+    python3 perfbench/sweep.py --workload all --runs 10              # seeds 1..10
+    python3 perfbench/sweep.py --workload all --runs 10 --same-seed  # seed 1, ten times
+    python3 perfbench/sweep.py --workload all --runs 4 --overhead
 
 For each metric it prints the median, the first and third quartiles (as
 statistics.quantiles(values, n=4) gives them) and the spread: the
 distance between the quartiles as a share of the median. It also prints
-the share of failed accesses of every run. These spreads set the bounds
-in BENCHMARK.json. With --overhead every seed gets an untraced and a
-traced run, back to back and in alternating order, and the sweep prints
-the tracing overhead: the median over those pairs of how much lower the
-traced access_per_s is.
+the share of failed accesses of every run. The spread over seeds 1..N is
+the one a gate on BENCHMARK.json's bounds sees; with --same-seed every
+run replays seed 1, so the spread is run-to-run noise alone, without the
+differences between the inputs of different seeds. With --overhead every
+seed gets an untraced and a traced run, back to back and in alternating
+order, and the sweep prints the tracing overhead: the median over those
+pairs of how much lower the traced access_per_s is.
 """
 
 import argparse
@@ -50,7 +53,8 @@ def summarize(results):
 
 
 def report(workload, args, trace, results):
-    print("%s (%s, %d runs of %d s)" % (workload, "traced" if trace else "untraced", len(results), args.seconds))
+    seeds = "seed 1 each time" if args.same_seed else "seeds 1-%d" % len(results)
+    print("%s (%s, %d runs of %d s, %s)" % (workload, "traced" if trace else "untraced", len(results), args.seconds, seeds))
     print("  %-36s %-6s %14s %14s %14s %8s" % ("metric", "unit", "median", "q1", "q3", "spread"))
     for name, unit, med, q1, q3, spread in summarize(results):
         print("  %-36s %-6s %14.4f %14.4f %14.4f %7.2f%%" % (name, unit, med, q1, q3, 100 * spread))
@@ -59,10 +63,10 @@ def report(workload, args, trace, results):
 def sweep(workload, args):
     """Runs the workload once per seed; with --overhead, a traced and an
     untraced run per seed, so drift of the machine hits both alike."""
-    modes = [0, 1] if args.overhead else [args.trace]
+    modes = [0, 1] if args.overhead else [0]
     results = {m: [] for m in modes}
     for i in range(args.runs):
-        seed = args.first_seed + i
+        seed = 1 if args.same_seed else 1 + i
         # Alternate which side of a pair runs first.
         for trace in (modes if i % 2 == 0 else modes[::-1]):
             r = one_run(workload, seed, args.seconds, trace)
@@ -84,13 +88,13 @@ def main():
     p.add_argument("--workload", required=True, help="a workload name, or all")
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--seconds", type=int, default=15)
-    p.add_argument("--first-seed", type=int, default=1)
-    p.add_argument("--trace", type=int, default=0, choices=[0, 1])
+    p.add_argument("--same-seed", action="store_true", help="run seed 1 every time")
     p.add_argument("--overhead", action="store_true", help="also make traced runs and print the tracing overhead")
     args = p.parse_args()
     workloads = WORKLOADS if args.workload == "all" else [args.workload]
     for w in workloads:
         sweep(w, args)
+
 
 if __name__ == "__main__":
     main()

@@ -153,9 +153,9 @@ func (t *tracer) summarize() map[string]*spanSummary {
 		sum.selfs = append(sum.selfs, d-float64(covered(s.Start, s.End, children[int32(i)])))
 	}
 	for _, sum := range out {
-		sum.p50 = quantile(sum.durs, 0.5)
-		sum.p99 = quantile(sum.durs, 0.99)
-		sum.self50 = quantile(sum.selfs, 0.5)
+		sum.p50 = pct(sum.durs, 0.5)
+		sum.p99 = pct(sum.durs, 0.99)
+		sum.self50 = pct(sum.selfs, 0.5)
 	}
 	return out
 }
