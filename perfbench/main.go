@@ -7,7 +7,7 @@
 // property check held, and the metrics: the end-to-end metrics of
 // BENCHMARK.json, or with -trace 1 the per-layer ones.
 //
-//	perfbench -workload warm-scan -seed 1 -seconds 15 -trace 0
+//	perfbench -workload warm-scan -seed 1 -seconds 25 -trace 0
 //
 // See README.md for the workloads, the metrics and how they relate.
 package main
@@ -144,7 +144,7 @@ func run(args []string, stdout, stderr io.Writer, corrupt func(map[string]meanVa
 	o := options{corrupt: corrupt}
 	fs.StringVar(&o.workload, "workload", "", "workload: "+strings.Join(workloads, ", ")+", or all")
 	fs.Int64Var(&o.seed, "seed", 1, "workload seed")
-	fs.IntVar(&o.seconds, "seconds", 15, "length of the timed phase")
+	fs.IntVar(&o.seconds, "seconds", 25, "length of the timed phase")
 	traceFlag := fs.Int("trace", 0, "1 for the traced run (per-layer metrics)")
 	fs.StringVar(&o.workDir, "work-dir", ".bench_build/work", "scratch directory for the daemons' storage areas")
 	fs.StringVar(&o.spanDir, "span-dir", ".bench_build/spans", "where traced runs write their spans")

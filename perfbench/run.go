@@ -11,7 +11,8 @@ import (
 )
 
 // sampleEvery is the interval over which access_per_s and
-// cpu_us_per_access are measured before their median is taken.
+// cpu_us_per_access are measured before their quantiles are taken (see
+// sampler.finish).
 const sampleEvery = 250 * time.Millisecond
 
 // setups is how many set-ups one run performs. setup_s is the fastest of

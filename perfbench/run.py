@@ -3,7 +3,7 @@
 
 Run from the root of a SimFS checkout:
 
-    python3 perfbench/run.py --workload warm-scan --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload warm-scan --seed 1 --seconds 25 --trace 0
 
 Every argument is passed to the benchmark program (see main.go). The Go
 build cache, temporary files, the binary, the daemons' storage areas and

@@ -111,7 +111,7 @@ type window struct {
 
 // sampler snapshots the completed-access count and the process CPU time
 // at a fixed interval, so throughput and CPU per access can be reported
-// as medians over intervals: a burst of interference from outside the
+// as quantiles over intervals: a burst of interference from outside the
 // process moves a few intervals, not the whole run's figure.
 type sampler struct {
 	done    *atomic.Int64
@@ -140,10 +140,18 @@ func startSampler(done *atomic.Int64, every time.Duration) *sampler {
 	return s
 }
 
-// finish stops the sampler and returns the medians of the access rate
-// (1/s), the CPU time per access (µs) and the resident set size (MiB)
-// over its intervals. The last, partial interval counts when it is at
-// least half an interval long.
+// finish stops the sampler and returns the access rate (1/s) of the
+// upper quartile of its intervals, and the medians of the CPU time per
+// access (µs) and of the resident set size (MiB). The last, partial
+// interval counts when it is at least half an interval long.
+//
+// The rate is the upper quartile because interference from outside the
+// process only ever lowers an interval's rate, and on a shared host it
+// comes and goes over seconds: the median flips between the disturbed
+// and the quiet rate as the disturbed share of a run crosses one half,
+// while the upper quartile stays at the quiet rate until more than three
+// quarters of the run are disturbed. CPU time per access moves much less
+// with such interference, so it is a median.
 func (s *sampler) finish() (rate, cpuPerAccessUs, rss float64) {
 	close(s.stop)
 	<-s.exited
@@ -161,7 +169,7 @@ func (s *sampler) finish() (rate, cpuPerAccessUs, rss float64) {
 			cpus = append(cpus, float64(b.cpu-a.cpu)/1e3/n)
 		}
 	}
-	return pct(rates, 0.5), pct(cpus, 0.5), pct(rsss, 0.5)
+	return pct(rates, 0.75), pct(cpus, 0.5), pct(rsss, 0.5)
 }
 
 // freeHeap collects the heap and returns freed memory to the OS, so the

@@ -87,7 +87,7 @@ def main():
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--workload", required=True, help="a workload name, or all")
     p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--seconds", type=int, default=15)
+    p.add_argument("--seconds", type=int, default=25)
     p.add_argument("--same-seed", action="store_true", help="run seed 1 every time")
     p.add_argument("--overhead", action="store_true", help="also make traced runs and print the tracing overhead")
     args = p.parse_args()
