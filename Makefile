@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race bench bench-smoke bench-server bench-fed bench-autoscale benchstat proto-fuzz chaos-smoke fed-smoke autoscale-smoke lint fmt vet simfs-vet staticcheck govulncheck check clean
+.PHONY: all build test test-short test-race bench bench-smoke perfbench-test bench-server bench-fed bench-autoscale benchstat proto-fuzz chaos-smoke fed-smoke autoscale-smoke lint fmt vet simfs-vet staticcheck govulncheck check clean
 
 all: build
 
@@ -34,6 +34,12 @@ bench:
 # the RunCells-based multi-client stress benches.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -short ./...
+
+# perfbench-test compiles and tests the benchmark program. perfbench/ is
+# a module of its own that imports the daemon, router, protocol and
+# client packages, so a root `go build ./...` never compiles it.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # benchstat saves benchstat-comparable output. First run: the result is
 # copied to bench-before.txt as the baseline. Later runs write

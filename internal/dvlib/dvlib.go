@@ -38,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -105,7 +106,6 @@ type Client struct {
 	conn    net.Conn
 	br      *bufio.Reader
 	codec   netproto.Codec
-	binary  bool
 	version int
 	caps    []string
 	dialCfg dialConfig
@@ -222,7 +222,7 @@ func DialContext(ctx context.Context, addr, clientName string, opts ...DialOptio
 	// The handshake runs synchronously — no read loop yet — so the codec
 	// can switch after the hello without racing a concurrent reader.
 	stop := closeOnCancel(ctx, conn)
-	hs, err := helloOn(conn, c.br, 1, c.name, cfg)
+	info, codec, err := helloOn(conn, c.br, 1, c.name, cfg)
 	canceled := stop()
 	if err != nil || canceled {
 		conn.Close()
@@ -235,7 +235,7 @@ func DialContext(ctx context.Context, addr, clientName string, opts ...DialOptio
 		}
 		return nil, fmt.Errorf("dvlib: handshake: %w", err)
 	}
-	c.applyHello(hs)
+	c.applyHello(info, codec)
 	c.nextID = 1 // the hello consumed ID 1
 	go c.readLoop()
 	return c, nil
@@ -266,81 +266,46 @@ func closeOnCancel(ctx context.Context, conn net.Conn) (stop func() bool) {
 	}
 }
 
-// helloResult is a successful hello negotiation, ready to apply to the
-// client once the connection is adopted.
-type helloResult struct {
-	version int
-	caps    []string
-	binary  bool
-}
-
 // helloOn performs the hello exchange on a bare connection — the initial
 // dial and every reconnect share it. It never touches the Client, so a
 // reconnect can negotiate on a candidate connection before swapping it
 // in.
-func helloOn(conn net.Conn, br *bufio.Reader, id uint64, name string, cfg dialConfig) (helloResult, error) {
+func helloOn(conn net.Conn, br *bufio.Reader, id uint64, name string, cfg dialConfig) (*netproto.HelloInfo, netproto.Codec, error) {
 	caps := []string{netproto.CapAdmin, netproto.CapWatch}
 	if !cfg.jsonOnly {
 		caps = append(caps, netproto.CapBinary)
 	}
-	env, err := netproto.NewEnvelope(id, netproto.OpHello, netproto.HelloBody{
-		Version: netproto.ProtoVersion,
-		Client:  name,
-		Caps:    caps,
-	})
+	resp, codec, err := netproto.ClientHello(conn, br, id, name, caps)
 	if err != nil {
-		return helloResult{}, err
-	}
-	if err := netproto.JSON.EncodeFrame(conn, env); err != nil {
-		return helloResult{}, err
-	}
-	var resp netproto.Response
-	if err := netproto.JSON.DecodeFrame(br, &resp); err != nil {
-		return helloResult{}, err
+		return nil, nil, err
 	}
 	if resp.Err != "" {
 		if resp.Code == "" {
 			// The daemon answered the hello with a v1-style untyped
 			// error: it predates the versioned protocol.
-			return helloResult{}, &Error{Code: netproto.CodeVersion, Op: netproto.OpHello,
+			return nil, nil, &Error{Code: netproto.CodeVersion, Op: netproto.OpHello,
 				Msg: fmt.Sprintf("daemon does not speak the versioned protocol (client speaks %d): %s",
 					netproto.ProtoVersion, resp.Err)}
 		}
-		return helloResult{}, &Error{Code: resp.Code, Op: netproto.OpHello, Msg: resp.Err}
+		return nil, nil, &Error{Code: resp.Code, Op: netproto.OpHello, Msg: resp.Err}
 	}
 	if resp.Proto == nil || resp.Proto.Version < netproto.MinProtoVersion {
-		return helloResult{}, &Error{Code: netproto.CodeVersion, Op: netproto.OpHello,
+		return nil, nil, &Error{Code: netproto.CodeVersion, Op: netproto.OpHello,
 			Msg: "daemon sent no usable protocol version"}
 	}
-	hs := helloResult{version: resp.Proto.Version, caps: resp.Proto.Caps}
-	hs.binary = !cfg.jsonOnly && hs.version >= 3 && hasCap(hs.caps, netproto.CapBinary)
-	return hs, nil
+	return resp.Proto, codec, nil
 }
 
 // applyHello installs a negotiated hello's outcome on the client.
-func (c *Client) applyHello(hs helloResult) {
-	c.version = hs.version
-	c.caps = hs.caps
-	c.binary = hs.binary
-	if hs.binary {
-		c.codec = netproto.Binary
-	} else {
-		c.codec = netproto.JSON
-	}
-}
-
-func hasCap(caps []string, want string) bool {
-	for _, have := range caps {
-		if have == want {
-			return true
-		}
-	}
-	return false
+func (c *Client) applyHello(info *netproto.HelloInfo, codec netproto.Codec) {
+	c.version = info.Version
+	c.caps = info.Caps
+	c.codec = codec
 }
 
 // UsesBinary reports whether the connection negotiated the binary
 // fast-path codec in the hello handshake.
-func (c *Client) UsesBinary() bool { return c.binary }
+func (c *Client) UsesBinary() bool { return c.codec == netproto.Binary }
 
 // CodecName returns the name of the negotiated frame codec.
 func (c *Client) CodecName() string { return c.codec.Name() }
@@ -353,14 +318,7 @@ func (c *Client) Capabilities() []string { return append([]string(nil), c.caps..
 
 // HasCapability reports whether the daemon advertised the capability in
 // the hello handshake.
-func (c *Client) HasCapability(cap string) bool {
-	for _, have := range c.caps {
-		if have == cap {
-			return true
-		}
-	}
-	return false
-}
+func (c *Client) HasCapability(cap string) bool { return slices.Contains(c.caps, cap) }
 
 // Close tears down the connection. The daemon releases any references the
 // client still holds.

@@ -11,24 +11,6 @@ import (
 	"simfs/internal/netproto"
 )
 
-// isIdempotent classifies wire ops for replay after a reconnect. The
-// replayable set is the hot data-plane ops plus the read-only queries:
-// re-issuing them converges to the same daemon state. Everything else —
-// release (drops a reference), acquire (takes references and opens a
-// subscription), unsubscribe, checksum registration and the admin
-// control plane — may have taken effect before the connection died, so
-// replaying could apply it twice; those fail with ErrReconnecting.
-func isIdempotent(op string) bool {
-	switch op {
-	case netproto.OpPing, netproto.OpOpen, netproto.OpWait, netproto.OpEstWait,
-		netproto.OpContexts, netproto.OpContextInfo, netproto.OpStats,
-		netproto.OpBitrep, netproto.OpRescan, netproto.OpPrefetch,
-		netproto.OpSchedGet:
-		return true
-	}
-	return false
-}
-
 // tryReconnect is the read loop's recovery path: redial with backoff,
 // re-handshake, rebuild the reference state and replay what can be
 // replayed. It reports whether the read loop should continue on the new
@@ -42,12 +24,15 @@ func (c *Client) tryReconnect() bool {
 	cfg := *c.dialCfg.reconnect
 	c.reconnecting = true
 
-	// Partition the in-flight calls: idempotent ones ride through (their
-	// frames are replayed below), the rest fail with the typed error so
-	// the caller decides — the client cannot know whether they landed.
+	// Partition the in-flight calls: replayable ones (the hot data-plane
+	// ops and the read-only queries; see netproto.OpSpec.Replay) ride
+	// through, their frames replayed below. The rest — release, acquire,
+	// unsubscribe, checksum registration and the admin control plane —
+	// may have taken effect before the connection died, so they fail
+	// with the typed error and the caller decides.
 	var replay []*pendingCall
 	for id, p := range c.pending {
-		if isIdempotent(p.op) {
+		if netproto.Spec(p.op).Replay {
 			replay = append(replay, p)
 			continue
 		}
@@ -132,7 +117,7 @@ func (c *Client) redial(cfg ReconnectConfig) bool {
 			continue
 		}
 		br := bufio.NewReaderSize(conn, frameBufSize)
-		hs, err := helloOn(conn, br, c.newID(), c.name, c.dialCfg)
+		info, codec, err := helloOn(conn, br, c.newID(), c.name, c.dialCfg)
 		if err != nil {
 			conn.Close()
 			continue
@@ -146,7 +131,7 @@ func (c *Client) redial(cfg ReconnectConfig) bool {
 			return false
 		}
 		c.conn, c.br = conn, br
-		c.applyHello(hs)
+		c.applyHello(info, codec)
 		// Frames batched before the reset were encoded for the dead
 		// connection; every surviving request is replayed from its body,
 		// so the stale bytes would only duplicate them.

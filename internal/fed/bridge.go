@@ -1,6 +1,7 @@
 package fed
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -102,7 +103,7 @@ func (b *Bridge) peerLocked(addr string) (conn *PeerConn, fresh bool) {
 		b.lastFail[addr] = time.Now()
 		return nil, false
 	}
-	if !hasCap(pc.Caps(), netproto.CapFed) {
+	if !slices.Contains(pc.caps, netproto.CapFed) {
 		// An old daemon that cannot serve fed-watch.
 		pc.Close()
 		b.lastFail[addr] = time.Now()

@@ -76,50 +76,28 @@ func DialPeer(addr, clientName string, onBatch func()) (*PeerConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fed: dial %s: %w", addr, err)
 	}
-	pc := &PeerConn{addr: addr, onBatch: onBatch, conn: conn,
-		codec: netproto.JSON, nextID: 1, pending: map[uint64]*pendingFrame{}}
-
-	// The hello exchange is synchronous and always JSON, before the read
-	// loop starts: nothing else is in flight to demux.
-	hello := newEnv(1, netproto.OpHello, netproto.HelloBody{
-		Version: netproto.ProtoVersion, Client: clientName, Caps: peerCaps})
-	var buf bytes.Buffer
-	if err := netproto.JSON.EncodeFrame(&buf, hello); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("fed: hello to %s: %w", addr, err)
-	}
+	// The hello exchange is synchronous, before the read loop starts:
+	// nothing else is in flight to demux.
 	conn.SetDeadline(time.Now().Add(dialTimeout)) //simfs:allow wallclock I/O deadline on a real network dial
-	if _, err := conn.Write(buf.Bytes()); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("fed: hello to %s: %w", addr, err)
-	}
 	br := bufio.NewReaderSize(conn, 32<<10)
-	var resp netproto.Response
-	if err := netproto.JSON.DecodeFrame(br, &resp); err != nil {
+	resp, codec, err := netproto.ClientHello(conn, br, 1, clientName, peerCaps)
+	if err != nil {
 		conn.Close()
-		return nil, fmt.Errorf("fed: hello from %s: %w", addr, err)
+		return nil, fmt.Errorf("fed: hello with %s: %w", addr, err)
 	}
 	conn.SetDeadline(time.Time{})
 	if !resp.OK || resp.Proto == nil {
 		conn.Close()
 		return nil, fmt.Errorf("fed: peer %s refused handshake: %s (%s)", addr, resp.Err, resp.Code)
 	}
-	pc.caps = resp.Proto.Caps
-	if hasCap(pc.caps, netproto.CapBinary) {
-		pc.codec = netproto.Binary
-	}
+	pc := &PeerConn{addr: addr, onBatch: onBatch, conn: conn, codec: codec,
+		caps: resp.Proto.Caps, nextID: 1, pending: map[uint64]*pendingFrame{}}
 	go pc.readLoop(br)
 	return pc, nil
 }
 
 // Addr returns the peer's dialed address.
 func (pc *PeerConn) Addr() string { return pc.addr }
-
-// Caps returns the capability flags the peer advertised.
-func (pc *PeerConn) Caps() []string { return append([]string(nil), pc.caps...) }
-
-// CodecName reports which codec the link negotiated ("json"/"binary").
-func (pc *PeerConn) CodecName() string { return pc.codec.Name() }
 
 // Broken reports whether the connection has died. Pending handlers
 // have already been failed; the owner should dial a replacement.
@@ -290,14 +268,4 @@ func (pc *PeerConn) Subscribe(op string, body any, fn func(netproto.Response)) (
 func newEnv(id uint64, op string, body any) netproto.Envelope {
 	env, _ := netproto.NewEnvelope(id, op, body)
 	return env
-}
-
-// hasCap reports whether caps contains want.
-func hasCap(caps []string, want string) bool {
-	for _, c := range caps {
-		if c == want {
-			return true
-		}
-	}
-	return false
 }

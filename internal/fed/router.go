@@ -1,12 +1,9 @@
 package fed
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sort"
 	"sync"
@@ -45,7 +42,7 @@ type Router struct {
 
 	ln     net.Listener
 	mu     sync.Mutex
-	conns  map[net.Conn]*rsession
+	conns  map[*rsession]struct{}
 	closed bool
 	wg     sync.WaitGroup
 }
@@ -61,7 +58,7 @@ func NewRouter(peerAddrs []string, replicas int, logf func(string, ...any)) *Rou
 		ring:        NewRing(replicas, peerAddrs...),
 		logf:        logf,
 		CallTimeout: 10 * time.Second,
-		conns:       map[net.Conn]*rsession{},
+		conns:       map[*rsession]struct{}{},
 	}
 }
 
@@ -103,12 +100,10 @@ func (r *Router) Serve() error {
 			return err
 		}
 		sess := &rsession{
-			conn:   conn,
-			br:     bufio.NewReaderSize(conn, 32<<10),
-			codec:  netproto.JSON,
-			r:      r,
-			peers:  map[string]*PeerConn{},
-			routes: map[uint64]peerRoute{},
+			ServerConn: netproto.NewServerConn(conn, "router", r.logf),
+			r:          r,
+			peers:      map[string]*PeerConn{},
+			routes:     map[uint64]peerRoute{},
 		}
 		r.mu.Lock()
 		if r.closed {
@@ -116,7 +111,7 @@ func (r *Router) Serve() error {
 			conn.Close()
 			return nil
 		}
-		r.conns[conn] = sess
+		r.conns[sess] = struct{}{}
 		r.mu.Unlock()
 		r.wg.Add(1)
 		go func() {
@@ -137,7 +132,7 @@ func (r *Router) Close() {
 	}
 	r.closed = true
 	sessions := make([]*rsession, 0, len(r.conns))
-	for _, sess := range r.conns {
+	for sess := range r.conns {
 		sessions = append(sessions, sess)
 	}
 	r.mu.Unlock()
@@ -145,7 +140,7 @@ func (r *Router) Close() {
 		r.ln.Close()
 	}
 	for _, sess := range sessions {
-		sess.conn.Close()
+		sess.Close()
 	}
 	r.wg.Wait()
 }
@@ -159,16 +154,8 @@ type peerRoute struct {
 
 // rsession is one client connection through the router.
 type rsession struct {
-	conn  net.Conn
-	br    *bufio.Reader
-	codec netproto.Codec
-	r     *Router
-
-	client  string
-	version int
-
-	wmu  sync.Mutex
-	wbuf bytes.Buffer
+	*netproto.ServerConn
+	r *Router
 
 	// mu guards peers (this session's sticky per-daemon connections)
 	// and routes (client request ID → peer route for live streams).
@@ -176,47 +163,6 @@ type rsession struct {
 	peers  map[string]*PeerConn
 	routes map[uint64]peerRoute
 	closed bool
-}
-
-func (sess *rsession) reply(resp netproto.Response) {
-	sess.wmu.Lock()
-	sess.enqueueLocked(resp)
-	sess.wmu.Unlock()
-}
-
-func (sess *rsession) send(resp netproto.Response) {
-	sess.wmu.Lock()
-	if sess.enqueueLocked(resp) {
-		sess.flushLocked()
-	}
-	sess.wmu.Unlock()
-}
-
-func (sess *rsession) flush() {
-	sess.wmu.Lock()
-	sess.flushLocked()
-	sess.wmu.Unlock()
-}
-
-func (sess *rsession) enqueueLocked(resp netproto.Response) bool {
-	if err := sess.codec.EncodeFrame(&sess.wbuf, resp); err != nil {
-		sess.r.logf("fed: encode for %s: %v", sess.conn.RemoteAddr(), err)
-		sess.conn.Close()
-		return false
-	}
-	return true
-}
-
-func (sess *rsession) flushLocked() {
-	if sess.wbuf.Len() == 0 {
-		return
-	}
-	_, err := sess.conn.Write(sess.wbuf.Bytes())
-	sess.wbuf.Reset()
-	if err != nil {
-		sess.r.logf("fed: write to %s: %v", sess.conn.RemoteAddr(), err)
-		sess.conn.Close()
-	}
 }
 
 // peer returns this session's connection to addr, dialing a fresh one
@@ -233,7 +179,7 @@ func (sess *rsession) peer(addr string) (*PeerConn, error) {
 		return pc, nil
 	}
 	delete(sess.peers, addr)
-	pc, err := DialPeer(addr, sess.client, func() { sess.flush() })
+	pc, err := DialPeer(addr, sess.Client(), sess.Flush)
 	if err != nil {
 		return nil, err
 	}
@@ -269,113 +215,60 @@ func (sess *rsession) dropRoute(clientID uint64) (peerRoute, bool) {
 	return rt, ok
 }
 
+// handle serves one client connection until it closes, then closes
+// its peer connections.
 func (r *Router) handle(sess *rsession) {
-	conn := sess.conn
-	defer func() {
-		sess.flush()
-		conn.Close()
-		r.mu.Lock()
-		delete(r.conns, conn)
-		r.mu.Unlock()
-		// Closing the per-session peer conns is the whole disconnect
-		// story: each daemon sees its session for this client drop and
-		// runs its own reference/subscription cleanup.
-		sess.mu.Lock()
-		sess.closed = true
-		peers := make([]*PeerConn, 0, len(sess.peers))
-		for _, pc := range sess.peers {
-			peers = append(peers, pc)
-		}
-		sess.peers = map[string]*PeerConn{}
-		sess.mu.Unlock()
-		for _, pc := range peers {
-			pc.Close()
-		}
-	}()
-	for {
-		var env netproto.Envelope
-		if err := sess.codec.DecodeFrame(sess.br, &env); err != nil {
-			var fe *netproto.FrameError
-			if errors.As(err, &fe) && fe.Recoverable {
-				sess.send(netproto.Response{ID: fe.ID, Code: netproto.CodeFrame, Err: err.Error()})
-				continue
-			}
-			if err != io.EOF {
-				r.logf("fed: read from %s: %v", conn.RemoteAddr(), err)
-			}
-			return
-		}
-		if sess.version == 0 && env.Op != netproto.OpHello {
-			sess.send(netproto.Response{ID: env.ID, Code: netproto.CodeVersion,
-				Err: fmt.Sprintf("protocol handshake required: first frame must be %q (router speaks protocol %d)",
-					netproto.OpHello, netproto.ProtoVersion)})
-			return
-		}
-		if !r.dispatch(sess, env) {
-			return
-		}
-		if !netproto.FrameBuffered(sess.br) {
-			// Requests first (the daemons can start working), then any
-			// locally produced replies, one write each.
-			sess.flushPeers()
-			sess.flush()
-		}
+	// At a batch end, requests go out first (the daemons can start
+	// working), then the locally produced replies, one write each.
+	sess.Serve(sess.dispatch, sess.flushPeers)
+	r.mu.Lock()
+	delete(r.conns, sess)
+	r.mu.Unlock()
+	// Closing the per-session peer conns is the whole disconnect story:
+	// each daemon sees its session for this client drop and runs its own
+	// reference/subscription cleanup.
+	sess.mu.Lock()
+	sess.closed = true
+	peers := make([]*PeerConn, 0, len(sess.peers))
+	for _, pc := range sess.peers {
+		peers = append(peers, pc)
+	}
+	sess.peers = map[string]*PeerConn{}
+	sess.mu.Unlock()
+	for _, pc := range peers {
+		pc.Close()
 	}
 }
 
-// streamOp reports whether op answers with a multi-frame stream.
-func streamOp(op string) bool {
-	switch op {
-	case netproto.OpWait, netproto.OpAcquire, netproto.OpSubscribe, netproto.OpFedWatch:
-		return true
-	}
-	return false
-}
-
-// contextOf extracts the routing key (context name) from a data-plane
-// envelope.
-func contextOf(env netproto.Envelope) (string, error) {
-	switch env.Op {
-	case netproto.OpOpen, netproto.OpWait, netproto.OpRelease,
-		netproto.OpEstWait, netproto.OpBitrep:
+// contextOf extracts the routing key (context name) from an envelope,
+// decoding the body type the op table names for it.
+func contextOf(env netproto.Envelope, route any) (string, error) {
+	var err error
+	switch route.(type) {
+	case netproto.FileBody:
 		var b netproto.FileBody
-		if err := env.Decode(&b); err != nil {
-			return "", err
-		}
-		return b.Context, nil
-	case netproto.OpAcquire, netproto.OpPrefetch, netproto.OpSubscribe, netproto.OpFedWatch:
+		err = env.Decode(&b)
+		return b.Context, err
+	case netproto.FilesBody:
 		var b netproto.FilesBody
-		if err := env.Decode(&b); err != nil {
-			return "", err
-		}
-		return b.Context, nil
-	case netproto.OpContextInfo, netproto.OpStats, netproto.OpRescan,
-		netproto.OpDrain, netproto.OpResume, netproto.OpCtxDeregister,
-		netproto.OpQuarantineReset:
+		err = env.Decode(&b)
+		return b.Context, err
+	case netproto.CtxBody:
 		var b netproto.CtxBody
-		if err := env.Decode(&b); err != nil {
-			return "", err
-		}
-		return b.Context, nil
-	case netproto.OpRegSum:
+		err = env.Decode(&b)
+		return b.Context, err
+	case netproto.ChecksumBody:
 		var b netproto.ChecksumBody
-		if err := env.Decode(&b); err != nil {
-			return "", err
-		}
-		return b.Context, nil
-	case netproto.OpCachePolicySet:
+		err = env.Decode(&b)
+		return b.Context, err
+	case netproto.CachePolicyBody:
 		var b netproto.CachePolicyBody
-		if err := env.Decode(&b); err != nil {
-			return "", err
-		}
-		return b.Context, nil
-	case netproto.OpCtxRegister:
+		err = env.Decode(&b)
+		return b.Context, err
+	case netproto.CtxRegisterBody:
 		var b netproto.CtxRegisterBody
-		if err := env.Decode(&b); err != nil {
+		if err = env.Decode(&b); err != nil || b.Context == nil {
 			return "", err
-		}
-		if b.Context == nil {
-			return "", nil
 		}
 		return b.Context.Name, nil
 	}
@@ -384,47 +277,17 @@ func contextOf(env netproto.Envelope) (string, error) {
 
 // dispatch serves one client envelope; it reports whether the
 // connection should stay open.
-func (r *Router) dispatch(sess *rsession, env netproto.Envelope) bool {
-	id := env.ID
+func (sess *rsession) dispatch(env netproto.Envelope) bool {
+	r, id := sess.r, env.ID
 	switch env.Op {
 	case netproto.OpHello:
-		if sess.version != 0 {
-			sess.reply(netproto.Response{ID: id, Code: netproto.CodeBadRequest,
-				Err: "duplicate hello: the handshake already completed"})
-			return true
-		}
-		var hb netproto.HelloBody
-		if err := env.Decode(&hb); err != nil {
-			sess.reply(netproto.Response{ID: id, Code: netproto.CodeBadRequest, Err: err.Error()})
-			return true
-		}
-		if hb.Version < netproto.MinProtoVersion {
-			sess.reply(netproto.Response{ID: id, Code: netproto.CodeVersion,
-				Err: fmt.Sprintf("peer speaks protocol %d; router requires %d..%d",
-					hb.Version, netproto.MinProtoVersion, netproto.ProtoVersion)})
-			return false
-		}
-		ver := hb.Version
-		if ver > netproto.ProtoVersion {
-			ver = netproto.ProtoVersion
-		}
-		sess.version = ver
-		sess.client = hb.Client
 		// The router always advertises the binary fast path; a JSON-only
 		// daemon behind it is bridged by the per-peer codec negotiation.
-		caps := []string{netproto.CapAdmin, netproto.CapWatch, netproto.CapPreempt,
-			netproto.CapBinary, netproto.CapFed}
-		useBinary := ver >= 3 && hasCap(hb.Caps, netproto.CapBinary)
-		sess.reply(netproto.Response{ID: id, OK: true, Proto: &netproto.HelloInfo{
-			Version: ver, Caps: caps}})
-		if useBinary {
-			sess.wmu.Lock()
-			sess.codec = netproto.Binary
-			sess.wmu.Unlock()
-		}
+		return sess.Hello(env, []string{netproto.CapAdmin, netproto.CapWatch, netproto.CapPreempt,
+			netproto.CapBinary, netproto.CapFed})
 
 	case netproto.OpPing:
-		sess.reply(netproto.Response{ID: id, OK: true})
+		sess.Reply(netproto.Response{ID: id, OK: true})
 
 	case netproto.OpPeers:
 		sess.mu.Lock()
@@ -438,7 +301,7 @@ func (r *Router) dispatch(sess *rsession, env netproto.Envelope) bool {
 		for i, addr := range members {
 			infos[i] = netproto.PeerInfo{Addr: addr, Role: "member", Connected: live[addr]}
 		}
-		sess.reply(netproto.Response{ID: id, OK: true, Peers: infos})
+		sess.Reply(netproto.Response{ID: id, OK: true, Peers: infos})
 
 	case netproto.OpContexts:
 		r.fanContexts(sess, id)
@@ -452,43 +315,31 @@ func (r *Router) dispatch(sess *rsession, env netproto.Envelope) bool {
 	case netproto.OpUnsubscribe:
 		var b netproto.UnsubscribeBody
 		if err := env.Decode(&b); err != nil {
-			sess.reply(netproto.Response{ID: id, Code: netproto.CodeBadRequest, Err: err.Error()})
+			sess.Reply(netproto.Response{ID: id, Code: netproto.CodeBadRequest, Err: err.Error()})
 			return true
 		}
 		if rt, ok := sess.dropRoute(b.SubID); ok {
 			rt.pc.Post(netproto.OpUnsubscribe, netproto.UnsubscribeBody{SubID: rt.peerID})
 		}
 		// Unknown subscriptions ack like the daemon does (idempotent).
-		sess.reply(netproto.Response{ID: id, OK: true})
-
-	case netproto.OpStats:
-		var b netproto.CtxBody
-		if err := env.Decode(&b); err != nil {
-			sess.reply(netproto.Response{ID: id, Code: netproto.CodeBadRequest, Err: err.Error()})
-			return true
-		}
-		r.fanStats(sess, id, b.Context)
-
-	case netproto.OpQuarantineReset:
-		var b netproto.CtxBody
-		if err := env.Decode(&b); err != nil {
-			sess.reply(netproto.Response{ID: id, Code: netproto.CodeBadRequest, Err: err.Error()})
-			return true
-		}
-		if b.Context == "" {
-			// "All contexts" spans every daemon: fan out and sum.
-			r.fanQuarantineReset(sess, id)
-			return true
-		}
-		r.proxy(sess, env, b.Context)
+		sess.Reply(netproto.Response{ID: id, OK: true})
 
 	default:
-		ctxName, err := contextOf(env)
+		spec := netproto.Spec(env.Op)
+		ctxName, err := contextOf(env, spec.Route)
 		if err != nil {
-			sess.reply(netproto.Response{ID: id, Code: netproto.CodeBadRequest, Err: err.Error()})
+			sess.Reply(netproto.Response{ID: id, Code: netproto.CodeBadRequest, Err: err.Error()})
 			return true
 		}
-		r.proxy(sess, env, ctxName)
+		switch {
+		case env.Op == netproto.OpStats:
+			r.fanStats(sess, id, ctxName)
+		case env.Op == netproto.OpQuarantineReset && ctxName == "":
+			// "All contexts" spans every daemon: fan out and sum.
+			r.fanQuarantineReset(sess, id)
+		default:
+			r.proxy(sess, env, ctxName, spec.Stream)
+		}
 	}
 	return true
 }
@@ -496,13 +347,12 @@ func (r *Router) dispatch(sess *rsession, env netproto.Envelope) bool {
 // proxy forwards env to the daemon owning ctxName, remapping the
 // request ID and demuxing every response frame (including streams)
 // back onto this session.
-func (r *Router) proxy(sess *rsession, env netproto.Envelope, ctxName string) {
+func (r *Router) proxy(sess *rsession, env netproto.Envelope, ctxName string, stream bool) {
 	clientID := env.ID
-	stream := streamOp(env.Op)
 	fail := func(err error) {
 		resp := netproto.Response{ID: clientID, Code: netproto.CodeBusy,
 			Err: fmt.Sprintf("context %q unreachable: %v", ctxName, err), Done: stream}
-		sess.reply(resp)
+		sess.Reply(resp)
 	}
 	owner := r.ring.Owner(ctxName)
 	if owner == "" {
@@ -521,7 +371,7 @@ func (r *Router) proxy(sess *rsession, env netproto.Envelope, ctxName string) {
 		}
 		// Enqueued, not flushed: the peer's read loop flushes the
 		// session once its response batch is drained (onBatch).
-		sess.reply(resp)
+		sess.Reply(resp)
 	})
 	if err != nil {
 		fail(err)
@@ -571,7 +421,7 @@ func fanFail(sess *rsession, id uint64, results []fanResult) {
 		if res.err == nil && res.resp.Code != "" {
 			resp := res.resp
 			resp.ID = id
-			sess.reply(resp)
+			sess.Reply(resp)
 			return
 		}
 	}
@@ -581,7 +431,7 @@ func fanFail(sess *rsession, id uint64, results []fanResult) {
 			msgs = append(msgs, res.err.Error())
 		}
 	}
-	sess.reply(netproto.Response{ID: id, Code: netproto.CodeBusy,
+	sess.Reply(netproto.Response{ID: id, Code: netproto.CodeBusy,
 		Err: "no federation peer reachable: " + joinMsgs(msgs)})
 }
 
@@ -619,7 +469,7 @@ func (r *Router) fanContexts(sess *rsession, id uint64) {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	sess.reply(netproto.Response{ID: id, OK: true, Names: names})
+	sess.Reply(netproto.Response{ID: id, OK: true, Names: names})
 }
 
 // fanSchedGet answers with the first reachable member's scheduler
@@ -630,7 +480,7 @@ func (r *Router) fanSchedGet(sess *rsession, id uint64) {
 		if res.err == nil && res.resp.OK && res.resp.Sched != nil {
 			resp := res.resp
 			resp.ID = id
-			sess.reply(resp)
+			sess.Reply(resp)
 			return
 		}
 	}
@@ -643,14 +493,14 @@ func (r *Router) fanSchedGet(sess *rsession, id uint64) {
 func (r *Router) fanSchedSet(sess *rsession, id uint64, env netproto.Envelope) {
 	var body netproto.SchedSetBody
 	if err := env.Decode(&body); err != nil {
-		sess.reply(netproto.Response{ID: id, Code: netproto.CodeBadRequest, Err: err.Error()})
+		sess.Reply(netproto.Response{ID: id, Code: netproto.CodeBadRequest, Err: err.Error()})
 		return
 	}
 	results := r.fanout(sess, netproto.OpSchedSet, body)
 	var ok *netproto.Response
 	for i, res := range results {
 		if res.err != nil {
-			sess.reply(netproto.Response{ID: id, Code: netproto.CodeBusy,
+			sess.Reply(netproto.Response{ID: id, Code: netproto.CodeBusy,
 				Err: fmt.Sprintf("sched-set incomplete: member %s unreachable: %v", res.addr, res.err)})
 			return
 		}
@@ -658,18 +508,18 @@ func (r *Router) fanSchedSet(sess *rsession, id uint64, env netproto.Envelope) {
 			resp := res.resp
 			resp.ID = id
 			resp.Err = fmt.Sprintf("sched-set incomplete: member %s: %s", res.addr, resp.Err)
-			sess.reply(resp)
+			sess.Reply(resp)
 			return
 		}
 		ok = &results[i].resp
 	}
 	if ok == nil {
-		sess.reply(netproto.Response{ID: id, Code: netproto.CodeBusy, Err: "no federation members configured"})
+		sess.Reply(netproto.Response{ID: id, Code: netproto.CodeBusy, Err: "no federation members configured"})
 		return
 	}
 	resp := *ok
 	resp.ID = id
-	sess.reply(resp)
+	sess.Reply(resp)
 }
 
 // fanQuarantineReset clears the quarantine ledger on every member and
@@ -688,7 +538,7 @@ func (r *Router) fanQuarantineReset(sess *rsession, id uint64) {
 		fanFail(sess, id, results)
 		return
 	}
-	sess.reply(netproto.Response{ID: id, OK: true, Count: total})
+	sess.Reply(netproto.Response{ID: id, OK: true, Count: total})
 }
 
 // fanStats merges per-context stats across the members that know the
@@ -714,7 +564,7 @@ func (r *Router) fanStats(sess *rsession, id uint64, ctxName string) {
 		fanFail(sess, id, results)
 		return
 	}
-	sess.reply(netproto.Response{ID: id, OK: true, Stats: merged})
+	sess.Reply(netproto.Response{ID: id, OK: true, Stats: merged})
 }
 
 // mergeStats accumulates src into dst. The fieldsync analyzer holds it

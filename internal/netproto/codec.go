@@ -213,31 +213,16 @@ const (
 	binResponseTag byte = 0xB1
 )
 
-var binOpcodes = map[string]byte{
-	OpOpen:        binOpen,
-	OpWait:        binWait,
-	OpRelease:     binRelease,
-	OpEstWait:     binEstWait,
-	OpBitrep:      binBitrep,
-	OpAcquire:     binAcquire,
-	OpSubscribe:   binSubscribe,
-	OpPrefetch:    binPrefetch,
-	OpUnsubscribe: binUnsubscribe,
-	OpPing:        binPing,
-}
-
-var binOpNames = [...]string{
-	binOpen:        OpOpen,
-	binWait:        OpWait,
-	binRelease:     OpRelease,
-	binEstWait:     OpEstWait,
-	binBitrep:      OpBitrep,
-	binAcquire:     OpAcquire,
-	binSubscribe:   OpSubscribe,
-	binPrefetch:    OpPrefetch,
-	binUnsubscribe: OpUnsubscribe,
-	binPing:        OpPing,
-}
+// binOpNames maps binary opcodes back to ops; opTable is the source of
+// both directions.
+var binOpNames = func() (names [binPing + 1]string) {
+	for _, s := range opTable {
+		if s.Opcode != 0 {
+			names[s.Opcode] = s.Op
+		}
+	}
+	return names
+}()
 
 // Response flag bits.
 const (
@@ -311,8 +296,8 @@ func (binCodec) DecodeFrame(r io.Reader, v any) error {
 //simfs:sync FilesBody
 //simfs:sync UnsubscribeBody
 func appendBinEnvelope(buf []byte, env Envelope) ([]byte, bool) {
-	code, known := binOpcodes[env.Op]
-	if !known || env.Body != nil {
+	code := Spec(env.Op).Opcode
+	if code == 0 || env.Body != nil {
 		// Pre-marshaled JSON bodies travel as JSON: re-encoding would
 		// need a parse hop, defeating the point.
 		return buf, false

@@ -25,11 +25,8 @@
 package server
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sort"
 	"sync"
@@ -101,7 +98,7 @@ type Server struct {
 	WrapConn func(net.Conn) net.Conn
 
 	mu     sync.Mutex
-	conns  map[net.Conn]*session
+	conns  map[*session]struct{}
 	closed bool
 	wg     sync.WaitGroup
 	logf   func(format string, args ...any)
@@ -121,13 +118,8 @@ func New(v *core.Virtualizer, logf func(string, ...any)) *Server {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	return &Server{v: v, conns: map[net.Conn]*session{}, logf: logf,
-		lat: metrics.NewLatencySet(
-			netproto.OpOpen, netproto.OpWait, netproto.OpRelease,
-			netproto.OpAcquire, netproto.OpEstWait, netproto.OpPrefetch,
-			netproto.OpSubscribe, netproto.OpFedWatch, netproto.OpStats,
-			netproto.OpPing,
-		)}
+	return &Server{v: v, conns: map[*session]struct{}{}, logf: logf,
+		lat: metrics.NewLatencySet(netproto.TimedOps()...)}
 }
 
 // Listen binds the daemon to addr (e.g. "127.0.0.1:7878"). Use port 0 for
@@ -170,11 +162,9 @@ func (s *Server) Serve() error {
 			conn = s.WrapConn(conn)
 		}
 		sess := &session{
-			conn:  conn,
-			br:    bufio.NewReaderSize(conn, 32<<10),
-			codec: netproto.JSON,
-			srv:   s,
-			held:  map[string]map[string]int{},
+			ServerConn: netproto.NewServerConn(conn, "daemon", s.logf),
+			srv:        s,
+			held:       map[string]map[string]int{},
 		}
 		s.mu.Lock()
 		if s.closed {
@@ -182,7 +172,7 @@ func (s *Server) Serve() error {
 			conn.Close()
 			return nil
 		}
-		s.conns[conn] = sess
+		s.conns[sess] = struct{}{}
 		s.mu.Unlock()
 		s.wg.Add(1)
 		go func() {
@@ -205,7 +195,7 @@ func (s *Server) Close() {
 	}
 	s.closed = true
 	sessions := make([]*session, 0, len(s.conns))
-	for _, sess := range s.conns {
+	for sess := range s.conns {
 		sessions = append(sessions, sess)
 	}
 	s.mu.Unlock()
@@ -214,34 +204,16 @@ func (s *Server) Close() {
 	}
 	for _, sess := range sessions {
 		sess.drain()
-		sess.conn.Close()
+		sess.Close()
 	}
 	s.wg.Wait()
 }
 
-// session is one client connection with a serialized, write-coalescing
-// writer.
+// session is one client connection: the shared framed connection plus
+// the daemon's per-client state.
 type session struct {
-	conn net.Conn
-	// br buffers reads; the read loop peeks it (netproto.FrameBuffered)
-	// to answer a whole pipelined batch before flushing once.
-	br *bufio.Reader
-	// codec frames this session's traffic. It starts as JSON and may
-	// switch to Binary right after the hello response is encoded; only
-	// the read loop's goroutine reads it outside wmu.
-	codec netproto.Codec
-
-	wmu sync.Mutex
-	// wbuf accumulates encoded response frames between flushes. Every
-	// EncodeFrame appends a complete frame with a single Write, so the
-	// buffer never holds a torn frame.
-	wbuf bytes.Buffer
-	srv  *Server
-	// client is the client name declared in the hello handshake,
-	// remembered so references can be cleaned up on disconnect.
-	client string
-	// version is the negotiated protocol version (0 before the hello).
-	version int
+	*netproto.ServerConn
+	srv *Server
 	// held tracks open references (context → files → count) for
 	// disconnect cleanup: a crashed analysis must not pin files forever.
 	held map[string]map[string]int
@@ -315,10 +287,10 @@ func (sess *session) drain() {
 		sub.Close()
 	}
 	for _, id := range ids {
-		sess.reply(netproto.Response{ID: id, Code: netproto.CodeDraining,
+		sess.Reply(netproto.Response{ID: id, Code: netproto.CodeDraining,
 			Err: "daemon shutting down", Done: true})
 	}
-	sess.flush()
+	sess.Flush()
 }
 
 // closeSubs closes every live subscription (disconnect cleanup).
@@ -332,57 +304,6 @@ func (sess *session) closeSubs() {
 	sess.mu.Unlock()
 	for _, sub := range subs {
 		sub.Close()
-	}
-}
-
-// send encodes the response and flushes it to the connection
-// immediately. It is the path for asynchronous pushes (wait finishers,
-// acquire/subscribe pumps): those run off the read loop's goroutine, so
-// nothing else would flush their frames.
-func (s *session) send(resp netproto.Response) {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	if s.enqueueLocked(resp) {
-		s.flushLocked()
-	}
-}
-
-// reply encodes the response into the session's write buffer without
-// flushing. The read loop flushes before its next blocking read, so a
-// pipelined batch of requests is answered with one write syscall.
-func (s *session) reply(resp netproto.Response) {
-	s.wmu.Lock()
-	s.enqueueLocked(resp)
-	s.wmu.Unlock()
-}
-
-// flush pushes buffered response frames to the connection.
-func (s *session) flush() {
-	s.wmu.Lock()
-	s.flushLocked()
-	s.wmu.Unlock()
-}
-
-func (s *session) enqueueLocked(resp netproto.Response) bool {
-	if err := s.codec.EncodeFrame(&s.wbuf, resp); err != nil {
-		// EncodeFrame failures happen before any byte lands in wbuf, so
-		// previously buffered frames are still intact.
-		s.srv.logf("server: encode for %s: %v", s.conn.RemoteAddr(), err)
-		s.conn.Close()
-		return false
-	}
-	return true
-}
-
-func (s *session) flushLocked() {
-	if s.wbuf.Len() == 0 {
-		return
-	}
-	_, err := s.conn.Write(s.wbuf.Bytes())
-	s.wbuf.Reset()
-	if err != nil {
-		s.srv.logf("server: write to %s: %v", s.conn.RemoteAddr(), err)
-		s.conn.Close()
 	}
 }
 
@@ -417,74 +338,41 @@ func codeOf(err error) netproto.ErrCode {
 	}
 }
 
+// handle serves one connection until it closes, then cleans up after
+// the departed client.
 func (s *Server) handle(sess *session) {
-	conn := sess.conn
-	defer func() {
-		// Replies queued by the final dispatch of a closing session
-		// (version rejections, failed hellos) must still reach the peer.
-		sess.flush()
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		// Tear down notification subscriptions, then release references
-		// held by the departed client.
-		sess.closeSubs()
-		for ctx, files := range sess.held {
-			for file, n := range files {
-				for i := 0; i < n; i++ {
-					if err := s.v.Release(sess.client, ctx, file); err != nil {
-						break
-					}
+	sess.Serve(sess.dispatch, nil)
+	s.mu.Lock()
+	delete(s.conns, sess)
+	s.mu.Unlock()
+	// Tear down notification subscriptions, then release references held
+	// by the departed client.
+	sess.closeSubs()
+	client := sess.Client()
+	for ctx, files := range sess.held {
+		for file, n := range files {
+			for i := 0; i < n; i++ {
+				if err := s.v.Release(client, ctx, file); err != nil {
+					break
 				}
 			}
 		}
-		// With the references gone, the client's speculative work can be
-		// dismantled: queued prefetch jobs are de-queued and running
-		// prefetch simulations nobody else waits for are killed.
-		if sess.client != "" {
-			s.v.ClientDisconnected(sess.client)
-		}
-	}()
-	for {
-		var env netproto.Envelope
-		if err := sess.codec.DecodeFrame(sess.br, &env); err != nil {
-			var fe *netproto.FrameError
-			if errors.As(err, &fe) && fe.Recoverable {
-				// A complete frame with an undecodable payload: the
-				// stream is still aligned, so answer instead of dropping
-				// the connection.
-				sess.send(netproto.Response{ID: fe.ID, Code: netproto.CodeFrame, Err: err.Error()})
-				continue
-			}
-			if err != io.EOF {
-				s.logf("server: read from %s: %v", conn.RemoteAddr(), err)
-			}
-			return
-		}
-		if sess.version == 0 && env.Op != netproto.OpHello {
-			// No handshake: a pre-versioned (v1) client or a foreign
-			// peer. Reject with a structured error it can surface, then
-			// close — nothing else it sends can be interpreted safely.
-			sess.send(netproto.Response{ID: env.ID, Code: netproto.CodeVersion,
-				Err: fmt.Sprintf("protocol handshake required: first frame must be %q (daemon speaks protocol %d)",
-					netproto.OpHello, netproto.ProtoVersion)})
-			return
-		}
-		t0 := time.Now() //simfs:allow wallclock live daemon service-time stamps feed the latency histograms, not the simulation
-		open := s.dispatch(sess, env)
-		s.lat.Record(env.Op, time.Since(t0)) //simfs:allow wallclock live daemon service-time stamps feed the latency histograms, not the simulation
-		if !open {
-			return
-		}
-		// Flush batched replies only when the next read would block: a
-		// pipelined client's remaining frames are answered into the same
-		// buffer first. FrameBuffered insists on a complete frame, so a
-		// half-received one cannot deadlock both sides.
-		if !netproto.FrameBuffered(sess.br) {
-			sess.flush()
-		}
 	}
+	// With the references gone, the client's speculative work can be
+	// dismantled: queued prefetch jobs are de-queued and running prefetch
+	// simulations nobody else waits for are killed.
+	if client != "" {
+		s.v.ClientDisconnected(client)
+	}
+}
+
+// dispatch serves one envelope and records its service time (the
+// synchronous half of the request) in the per-op latency histograms.
+func (sess *session) dispatch(env netproto.Envelope) bool {
+	t0 := time.Now() //simfs:allow wallclock live daemon service-time stamps feed the latency histograms, not the simulation
+	open := sess.srv.dispatch(sess, env)
+	sess.srv.lat.Record(env.Op, time.Since(t0)) //simfs:allow wallclock live daemon service-time stamps feed the latency histograms, not the simulation
+	return open
 }
 
 // dispatch serves one envelope; it reports whether the connection should
@@ -498,13 +386,13 @@ func (s *Server) dispatch(sess *session, env netproto.Envelope) bool {
 			resp.Attempts = qerr.Attempts
 			resp.RetryAfterNs = int64(qerr.RetryAfter)
 		}
-		sess.reply(resp)
+		sess.Reply(resp)
 	}
 	// decode unmarshals the typed body, answering a structured
 	// bad-request (with the op and request ID wrapped in) on failure.
 	decode := func(v any) bool {
 		if err := env.Decode(v); err != nil {
-			sess.reply(netproto.Response{ID: id, Code: netproto.CodeBadRequest, Err: err.Error()})
+			sess.Reply(netproto.Response{ID: id, Code: netproto.CodeBadRequest, Err: err.Error()})
 			return false
 		}
 		return true
@@ -512,59 +400,17 @@ func (s *Server) dispatch(sess *session, env netproto.Envelope) bool {
 
 	switch env.Op {
 	case netproto.OpHello:
-		if sess.version != 0 {
-			// A second hello would rewrite the session's client identity
-			// under running wait/pump goroutines and orphan the first
-			// client's per-shard state at disconnect cleanup.
-			sess.reply(netproto.Response{ID: id, Code: netproto.CodeBadRequest,
-				Err: "duplicate hello: the handshake already completed"})
-			return true
-		}
-		var hb netproto.HelloBody
-		if !decode(&hb) {
-			return true
-		}
-		if hb.Version < netproto.MinProtoVersion {
-			sess.reply(netproto.Response{ID: id, Code: netproto.CodeVersion,
-				Err: fmt.Sprintf("peer speaks protocol %d; daemon requires %d..%d",
-					hb.Version, netproto.MinProtoVersion, netproto.ProtoVersion)})
-			return false
-		}
-		ver := hb.Version
-		if ver > netproto.ProtoVersion {
-			// A newer client downgrades to our version.
-			ver = netproto.ProtoVersion
-		}
-		sess.version = ver
-		sess.client = hb.Client
 		caps := []string{netproto.CapAdmin, netproto.CapWatch, netproto.CapPreempt, netproto.CapFed, netproto.CapAutoscale}
-		useBinary := false
 		if !s.DisableBinary {
 			caps = append(caps, netproto.CapBinary)
-			// The binary fast path needs both protocol ≥ 3 and the
-			// client's explicit request; a v2 or JSON-only peer keeps the
-			// session on JSON with nothing to negotiate.
-			useBinary = ver >= 3 && hasCapability(hb.Caps, netproto.CapBinary)
 		}
-		sess.reply(netproto.Response{ID: id, OK: true, Proto: &netproto.HelloInfo{
-			Version: ver,
-			Caps:    caps,
-		}})
-		if useBinary {
-			// The hello response is already JSON-encoded in the reply
-			// buffer (encoding happens at reply time), so flipping the
-			// codec here cannot reframe it; everything after speaks
-			// binary on both directions.
-			sess.wmu.Lock()
-			sess.codec = netproto.Binary
-			sess.wmu.Unlock()
-		}
+		return sess.Hello(env, caps)
 
 	case netproto.OpPing:
-		sess.reply(netproto.Response{ID: id, OK: true})
+		sess.Reply(netproto.Response{ID: id, OK: true})
 
 	case netproto.OpContexts:
-		sess.reply(netproto.Response{ID: id, OK: true, Names: s.v.ContextNames()})
+		sess.Reply(netproto.Response{ID: id, OK: true, Names: s.v.ContextNames()})
 
 	case netproto.OpContextInfo:
 		var b netproto.CtxBody
@@ -578,7 +424,7 @@ func (s *Server) dispatch(sess *session, env netproto.Envelope) bool {
 		}
 		policy, _ := s.v.CachePolicyName(b.Context)
 		draining, _ := s.v.Draining(b.Context)
-		sess.reply(netproto.Response{ID: id, OK: true, Info: &netproto.ContextInfo{
+		sess.Reply(netproto.Response{ID: id, OK: true, Info: &netproto.ContextInfo{
 			Name:        ctx.Name,
 			StorageDir:  ctx.StorageDir,
 			FilePrefix:  ctx.FilePrefix,
@@ -596,13 +442,13 @@ func (s *Server) dispatch(sess *session, env netproto.Envelope) bool {
 		if !decode(&b) {
 			return true
 		}
-		res, err := s.v.Open(sess.client, b.Context, b.File)
+		res, err := s.v.Open(sess.Client(), b.Context, b.File)
 		if err != nil {
 			fail(err)
 			return true
 		}
 		sess.trackRef(b.Context, b.File, +1)
-		sess.reply(netproto.Response{ID: id, OK: true, Available: res.Available, EstWaitNs: int64(res.EstWait)})
+		sess.Reply(netproto.Response{ID: id, OK: true, Available: res.Available, EstWaitNs: int64(res.EstWait)})
 
 	case netproto.OpWait:
 		var b netproto.FileBody
@@ -618,12 +464,12 @@ func (s *Server) dispatch(sess *session, env netproto.Envelope) bool {
 		if !decode(&b) {
 			return true
 		}
-		if err := s.v.Release(sess.client, b.Context, b.File); err != nil {
+		if err := s.v.Release(sess.Client(), b.Context, b.File); err != nil {
 			fail(err)
 			return true
 		}
 		sess.trackRef(b.Context, b.File, -1)
-		sess.reply(netproto.Response{ID: id, OK: true})
+		sess.Reply(netproto.Response{ID: id, OK: true})
 
 	case netproto.OpAcquire:
 		var b netproto.FilesBody
@@ -650,7 +496,7 @@ func (s *Server) dispatch(sess *session, env netproto.Envelope) bool {
 			fail(err)
 			return true
 		}
-		sess.reply(netproto.Response{ID: id, OK: true, EstWaitNs: int64(w)})
+		sess.Reply(netproto.Response{ID: id, OK: true, EstWaitNs: int64(w)})
 
 	case netproto.OpBitrep:
 		var b netproto.FileBody
@@ -667,7 +513,7 @@ func (s *Server) dispatch(sess *session, env netproto.Envelope) bool {
 			fail(err)
 			return true
 		}
-		sess.reply(netproto.Response{ID: id, OK: true, Flag: same})
+		sess.Reply(netproto.Response{ID: id, OK: true, Flag: same})
 
 	case netproto.OpRegSum:
 		var b netproto.ChecksumBody
@@ -678,7 +524,7 @@ func (s *Server) dispatch(sess *session, env netproto.Envelope) bool {
 			fail(err)
 			return true
 		}
-		sess.reply(netproto.Response{ID: id, OK: true})
+		sess.Reply(netproto.Response{ID: id, OK: true})
 
 	case netproto.OpStats:
 		var b netproto.CtxBody
@@ -698,7 +544,7 @@ func (s *Server) dispatch(sess *session, env netproto.Envelope) bool {
 		// just issued a drain or cache-policy-set.
 		draining, _ := s.v.Draining(b.Context)
 		policy, _ := s.v.CachePolicyName(b.Context)
-		sess.reply(netproto.Response{ID: id, OK: true, Stats: &netproto.Stats{
+		sess.Reply(netproto.Response{ID: id, OK: true, Stats: &netproto.Stats{
 			Opens: st.Opens, Hits: st.Hits, Misses: st.Misses,
 			Restarts: st.Restarts, DemandRestarts: st.DemandRestarts,
 			PrefetchLaunches: st.PrefetchLaunches, DroppedPrefetch: st.DroppedPrefetch,
@@ -730,12 +576,12 @@ func (s *Server) dispatch(sess *session, env netproto.Envelope) bool {
 			fail(fmt.Errorf("%w: prefetch requires at least one file", core.ErrInvalid))
 			return true
 		}
-		n, err := s.v.GuidedPrefetch(sess.client, b.Context, b.Files)
+		n, err := s.v.GuidedPrefetch(sess.Client(), b.Context, b.Files)
 		if err != nil {
 			fail(err)
 			return true
 		}
-		sess.reply(netproto.Response{ID: id, OK: true, Count: n})
+		sess.Reply(netproto.Response{ID: id, OK: true, Count: n})
 
 	case netproto.OpRescan:
 		var b netproto.CtxBody
@@ -747,7 +593,7 @@ func (s *Server) dispatch(sess *session, env netproto.Envelope) bool {
 			fail(err)
 			return true
 		}
-		sess.reply(netproto.Response{ID: id, OK: true, Count: n})
+		sess.Reply(netproto.Response{ID: id, OK: true, Count: n})
 
 	case netproto.OpSubscribe:
 		var b netproto.FilesBody
@@ -781,7 +627,7 @@ func (s *Server) dispatch(sess *session, env netproto.Envelope) bool {
 			infos = append(infos, s.Peers.PeerInfos()...)
 		}
 		infos = append(infos, s.inboundPeerInfos()...)
-		sess.reply(netproto.Response{ID: id, OK: true, Peers: infos})
+		sess.Reply(netproto.Response{ID: id, OK: true, Peers: infos})
 
 	case netproto.OpUnsubscribe:
 		var b netproto.UnsubscribeBody
@@ -791,11 +637,11 @@ func (s *Server) dispatch(sess *session, env netproto.Envelope) bool {
 		if sub := sess.dropSub(b.SubID); sub != nil {
 			sub.Close()
 		}
-		sess.reply(netproto.Response{ID: id, OK: true})
+		sess.Reply(netproto.Response{ID: id, OK: true})
 
 	case netproto.OpSchedGet:
 		cfg := s.v.SchedConfig()
-		sess.reply(netproto.Response{ID: id, OK: true, Sched: schedInfo(cfg)})
+		sess.Reply(netproto.Response{ID: id, OK: true, Sched: schedInfo(cfg)})
 
 	case netproto.OpSchedSet:
 		var b netproto.SchedSetBody
@@ -855,9 +701,9 @@ func (s *Server) dispatch(sess *session, env netproto.Envelope) bool {
 			return cfg
 		})
 		s.logf("server: scheduler reconfigured by %s: coalesce=%v priorities=%v nodes=%d preempt=%s quantum=%d sunkcost=%g guided=%v demandjoin=%v",
-			sess.client, cfg.Coalesce, cfg.Priorities, cfg.TotalNodes, cfg.Preempt, cfg.DRRQuantum,
+			sess.Client(), cfg.Coalesce, cfg.Priorities, cfg.TotalNodes, cfg.Preempt, cfg.DRRQuantum,
 			cfg.PreemptSunkCost, cfg.PreemptGuided, cfg.DemandJoin)
-		sess.reply(netproto.Response{ID: id, OK: true, Sched: schedInfo(cfg)})
+		sess.Reply(netproto.Response{ID: id, OK: true, Sched: schedInfo(cfg)})
 
 	case netproto.OpCachePolicySet:
 		var b netproto.CachePolicyBody
@@ -868,8 +714,8 @@ func (s *Server) dispatch(sess *session, env netproto.Envelope) bool {
 			fail(err)
 			return true
 		}
-		s.logf("server: context %s cache policy swapped to %s by %s", b.Context, b.Policy, sess.client)
-		sess.reply(netproto.Response{ID: id, OK: true})
+		s.logf("server: context %s cache policy swapped to %s by %s", b.Context, b.Policy, sess.Client())
+		sess.Reply(netproto.Response{ID: id, OK: true})
 
 	case netproto.OpDrain:
 		var b netproto.CtxBody
@@ -880,7 +726,7 @@ func (s *Server) dispatch(sess *session, env netproto.Envelope) bool {
 			fail(err)
 			return true
 		}
-		sess.reply(netproto.Response{ID: id, OK: true})
+		sess.Reply(netproto.Response{ID: id, OK: true})
 
 	case netproto.OpResume:
 		var b netproto.CtxBody
@@ -891,7 +737,7 @@ func (s *Server) dispatch(sess *session, env netproto.Envelope) bool {
 			fail(err)
 			return true
 		}
-		sess.reply(netproto.Response{ID: id, OK: true})
+		sess.Reply(netproto.Response{ID: id, OK: true})
 
 	case netproto.OpQuarantineReset:
 		var b netproto.CtxBody
@@ -904,11 +750,11 @@ func (s *Server) dispatch(sess *session, env netproto.Envelope) bool {
 			return true
 		}
 		if b.Context == "" {
-			s.logf("server: quarantine reset on all contexts by %s (%d released)", sess.client, n)
+			s.logf("server: quarantine reset on all contexts by %s (%d released)", sess.Client(), n)
 		} else {
-			s.logf("server: quarantine reset on context %s by %s (%d released)", b.Context, sess.client, n)
+			s.logf("server: quarantine reset on context %s by %s (%d released)", b.Context, sess.Client(), n)
 		}
-		sess.reply(netproto.Response{ID: id, OK: true, Count: n})
+		sess.Reply(netproto.Response{ID: id, OK: true, Count: n})
 
 	case netproto.OpAutoscaleReport:
 		var b netproto.AutoscaleReportBody
@@ -918,7 +764,7 @@ func (s *Server) dispatch(sess *session, env netproto.Envelope) bool {
 		s.asMu.Lock()
 		s.asInfo.Active = b.Active
 		if b.Active {
-			s.asInfo.Source = sess.client
+			s.asInfo.Source = sess.Client()
 			s.asInfo.Policies = b.Policies
 		} else {
 			// Detachment keeps the decision trail (health still shows
@@ -931,7 +777,7 @@ func (s *Server) dispatch(sess *session, env netproto.Envelope) bool {
 				s.asInfo.Decisions[n-autoscaleLogCap:]...)
 		}
 		s.asMu.Unlock()
-		sess.reply(netproto.Response{ID: id, OK: true, Count: len(b.Decisions)})
+		sess.Reply(netproto.Response{ID: id, OK: true, Count: len(b.Decisions)})
 
 	case netproto.OpAutoscaleStatus:
 		s.asMu.Lock()
@@ -939,7 +785,7 @@ func (s *Server) dispatch(sess *session, env netproto.Envelope) bool {
 		info.Policies = append([]string(nil), s.asInfo.Policies...)
 		info.Decisions = append([]netproto.AutoscaleDecision(nil), s.asInfo.Decisions...)
 		s.asMu.Unlock()
-		sess.reply(netproto.Response{ID: id, OK: true, Autoscale: &info})
+		sess.Reply(netproto.Response{ID: id, OK: true, Autoscale: &info})
 
 	case netproto.OpCtxRegister:
 		var b netproto.CtxRegisterBody
@@ -951,7 +797,7 @@ func (s *Server) dispatch(sess *session, env netproto.Envelope) bool {
 			return true
 		}
 		if s.Registrar == nil {
-			sess.reply(netproto.Response{ID: id, Code: netproto.CodeUnsupported,
+			sess.Reply(netproto.Response{ID: id, Code: netproto.CodeUnsupported,
 				Err: "this daemon has no context registrar (storage provisioning unavailable)"})
 			return true
 		}
@@ -959,8 +805,8 @@ func (s *Server) dispatch(sess *session, env netproto.Envelope) bool {
 			fail(err)
 			return true
 		}
-		s.logf("server: context %s registered by %s (policy %s)", b.Context.Name, sess.client, b.Policy)
-		sess.reply(netproto.Response{ID: id, OK: true})
+		s.logf("server: context %s registered by %s (policy %s)", b.Context.Name, sess.Client(), b.Policy)
+		sess.Reply(netproto.Response{ID: id, OK: true})
 
 	case netproto.OpCtxDeregister:
 		var b netproto.CtxBody
@@ -977,11 +823,11 @@ func (s *Server) dispatch(sess *session, env netproto.Envelope) bool {
 			fail(err)
 			return true
 		}
-		s.logf("server: context %s deregistered by %s", b.Context, sess.client)
-		sess.reply(netproto.Response{ID: id, OK: true})
+		s.logf("server: context %s deregistered by %s", b.Context, sess.Client())
+		sess.Reply(netproto.Response{ID: id, OK: true})
 
 	default:
-		sess.reply(netproto.Response{ID: id, Code: netproto.CodeUnsupported,
+		sess.Reply(netproto.Response{ID: id, Code: netproto.CodeUnsupported,
 			Err: fmt.Sprintf("unknown op %q", env.Op)})
 	}
 	return true
@@ -990,16 +836,6 @@ func (s *Server) dispatch(sess *session, env netproto.Envelope) bool {
 // autoscaleLogCap bounds the daemon-side autoscale decision ring: enough
 // recent history for simfs-ctl health, never an unbounded ledger.
 const autoscaleLogCap = 64
-
-// hasCapability reports whether caps contains want.
-func hasCapability(caps []string, want string) bool {
-	for _, c := range caps {
-		if c == want {
-			return true
-		}
-	}
-	return false
-}
 
 // schedInfo mirrors a scheduler config onto the wire. The fieldsync
 // analyzer holds it to SchedInfo's full field list, so a new knob
@@ -1034,7 +870,7 @@ func opLatencies(sums []metrics.OpLatency) []netproto.OpLatency {
 func (s *Server) inboundPeerInfos() []netproto.PeerInfo {
 	s.mu.Lock()
 	sessions := make([]*session, 0, len(s.conns))
-	for _, sess := range s.conns {
+	for sess := range s.conns {
 		sessions = append(sessions, sess)
 	}
 	s.mu.Unlock()
@@ -1051,7 +887,7 @@ func (s *Server) inboundPeerInfos() []netproto.PeerInfo {
 			continue
 		}
 		infos = append(infos, netproto.PeerInfo{
-			Addr: sess.conn.RemoteAddr().String(), Role: "in",
+			Addr: sess.RemoteAddr().String(), Role: "in",
 			Connected: true, Topics: topics, Events: events,
 		})
 	}
@@ -1075,11 +911,11 @@ func (s *Server) waitFile(sess *session, id uint64, ctxName, file string) error 
 	}
 	if resident {
 		sub.Close()
-		sess.reply(netproto.Response{ID: id, OK: true, Ready: true, Done: true, File: file})
+		sess.Reply(netproto.Response{ID: id, OK: true, Ready: true, Done: true, File: file})
 		return nil
 	}
 	// finish may run on the waiter goroutine, off the read loop: it must
-	// flush its own frame (send), not leave it in the reply buffer.
+	// flush its own frame (Send), not leave it in the reply buffer.
 	finish := func(ev notify.Event) {
 		resp := netproto.Response{ID: id, OK: ev.Err == "", Err: ev.Err,
 			Ready: ev.Kind == notify.FileReady, Done: true, File: file}
@@ -1088,7 +924,7 @@ func (s *Server) waitFile(sess *session, id uint64, ctxName, file string) error 
 			resp.Attempts = ev.Attempts
 			resp.RetryAfterNs = ev.RetryAfter
 		}
-		sess.send(resp)
+		sess.Send(resp)
 	}
 	if !promised {
 		// The producing simulation may have resolved the file between
@@ -1109,7 +945,7 @@ func (s *Server) waitFile(sess *session, id uint64, ctxName, file string) error 
 		defer sess.dropSub(id)
 		if ev, ok := <-sub.C(); ok {
 			if ev.Kind == notify.FileReady {
-				s.v.NoteClientReady(sess.client, ctxName, file)
+				s.v.NoteClientReady(sess.Client(), ctxName, file)
 			}
 			finish(ev)
 			sub.Close()
@@ -1182,19 +1018,19 @@ func (w *fileWatch) pump(sess *session, reqID uint64, failFast bool) {
 				Attempts: ev.Attempts, RetryAfterNs: ev.RetryAfter}
 			if failFast {
 				resp.Done = true
-				sess.send(resp)
+				sess.Send(resp)
 				w.sub.Close()
 				return
 			}
-			sess.send(resp)
+			sess.Send(resp)
 		} else {
 			// The client was blocked on this file: reset its τcli
 			// baseline, as the in-process waiter path does.
 			w.srv.v.NoteClientReady(w.client, w.ctxName, f)
-			sess.send(netproto.Response{ID: reqID, OK: true, Ready: true, File: f})
+			sess.Send(netproto.Response{ID: reqID, OK: true, Ready: true, File: f})
 		}
 		if w.pending.Load() == 0 {
-			sess.send(netproto.Response{ID: reqID, OK: true, Done: true})
+			sess.Send(netproto.Response{ID: reqID, OK: true, Done: true})
 			w.sub.Close()
 			return
 		}
@@ -1206,18 +1042,18 @@ func (w *fileWatch) pump(sess *session, reqID uint64, failFast bool) {
 // notify hub — a per-file ready frame for each missing file plus a final
 // done frame.
 func (s *Server) acquireWithPerFile(sess *session, id uint64, ctxName string, files []string) error {
-	w, err := s.watchTopics(sess.client, ctxName, files)
+	w, err := s.watchTopics(sess.Client(), ctxName, files)
 	if err != nil {
 		return err
 	}
 	// Open every file (taking references) so re-simulations start.
 	for i, f := range files {
-		res, err := s.v.Open(sess.client, ctxName, f)
+		res, err := s.v.Open(sess.Client(), ctxName, f)
 		if err != nil {
 			// Roll back references taken so far, including the
 			// disconnect-cleanup bookkeeping.
 			for _, g := range files[:i] {
-				_ = s.v.Release(sess.client, ctxName, g)
+				_ = s.v.Release(sess.Client(), ctxName, g)
 				sess.trackRef(ctxName, g, -1)
 			}
 			w.sub.Close()
@@ -1228,7 +1064,7 @@ func (s *Server) acquireWithPerFile(sess *session, id uint64, ctxName string, fi
 			topic, _ := s.v.FileTopic(ctxName, f)
 			if !w.resolved[topic] {
 				w.resolved[topic] = true
-				sess.reply(netproto.Response{ID: id, OK: true, Ready: true, File: f})
+				sess.Reply(netproto.Response{ID: id, OK: true, Ready: true, File: f})
 			}
 		}
 	}
@@ -1237,7 +1073,7 @@ func (s *Server) acquireWithPerFile(sess *session, id uint64, ctxName string, fi
 	// unresolved and let pump drain the buffer.
 	w.pending.Store(int64(len(w.names) - len(w.resolved)))
 	if w.pending.Load() == 0 {
-		sess.reply(netproto.Response{ID: id, OK: true, Done: true})
+		sess.Reply(netproto.Response{ID: id, OK: true, Done: true})
 		w.sub.Close()
 		return nil
 	}
@@ -1254,7 +1090,7 @@ func (s *Server) acquireWithPerFile(sess *session, id uint64, ctxName string, fi
 // hub republishes whatever a peer produces, so the pump below resolves
 // them exactly like local productions).
 func (s *Server) subscribeFiles(sess *session, id uint64, ctxName string, files []string) error {
-	w, err := s.watchTopics(sess.client, ctxName, files)
+	w, err := s.watchTopics(sess.Client(), ctxName, files)
 	if err != nil {
 		return err
 	}
@@ -1272,7 +1108,7 @@ func (s *Server) subscribeFiles(sess *session, id uint64, ctxName string, files 
 		switch {
 		case resident:
 			w.resolved[topic] = true
-			sess.reply(netproto.Response{ID: id, OK: true, Ready: true, File: f})
+			sess.Reply(netproto.Response{ID: id, OK: true, Ready: true, File: f})
 		case !promised:
 			// Not being produced — unless its event raced into the
 			// subscription buffer, which pump will deliver.
@@ -1281,7 +1117,7 @@ func (s *Server) subscribeFiles(sess *session, id uint64, ctxName string, files 
 					remote = append(remote, f)
 				} else {
 					w.resolved[topic] = true
-					sess.reply(netproto.Response{ID: id, Code: netproto.CodeNotProduced,
+					sess.Reply(netproto.Response{ID: id, Code: netproto.CodeNotProduced,
 						Err: "file is not being produced", File: f})
 				}
 			}
@@ -1289,7 +1125,7 @@ func (s *Server) subscribeFiles(sess *session, id uint64, ctxName string, files 
 	}
 	w.pending.Store(int64(len(w.names) - len(w.resolved)))
 	if w.pending.Load() == 0 {
-		sess.reply(netproto.Response{ID: id, OK: true, Done: true})
+		sess.Reply(netproto.Response{ID: id, OK: true, Done: true})
 		w.sub.Close()
 		return nil
 	}
@@ -1314,7 +1150,7 @@ func (s *Server) subscribeFiles(sess *session, id uint64, ctxName string, files 
 // cannot forward an interest in circles: every interest bounces at
 // most once, from the daemon the client asked to the producing peer.
 func (s *Server) fedWatchFiles(sess *session, id uint64, ctxName string, files []string) error {
-	w, err := s.watchTopics(sess.client, ctxName, files)
+	w, err := s.watchTopics(sess.Client(), ctxName, files)
 	if err != nil {
 		return err
 	}
@@ -1330,12 +1166,12 @@ func (s *Server) fedWatchFiles(sess *session, id uint64, ctxName string, files [
 		}
 		if resident {
 			w.resolved[topic] = true
-			sess.reply(netproto.Response{ID: id, OK: true, Ready: true, File: f})
+			sess.Reply(netproto.Response{ID: id, OK: true, Ready: true, File: f})
 		}
 	}
 	w.pending.Store(int64(len(w.names) - len(w.resolved)))
 	if w.pending.Load() == 0 {
-		sess.reply(netproto.Response{ID: id, OK: true, Done: true})
+		sess.Reply(netproto.Response{ID: id, OK: true, Done: true})
 		w.sub.Close()
 		return nil
 	}

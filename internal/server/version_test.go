@@ -3,10 +3,13 @@ package server
 import (
 	"io"
 	"net"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"simfs/internal/dvlib"
+	"simfs/internal/fed"
 	"simfs/internal/model"
 	"simfs/internal/netproto"
 )
@@ -23,78 +26,126 @@ func rawConn(t *testing.T, addr string) net.Conn {
 	return conn
 }
 
-// A v1 client (no hello, untyped request bag) against the new daemon:
-// the first frame is answered with a structured CodeVersion error and
-// the connection closes.
+// forEachFrontEnd runs a handshake test against both servers a client
+// can reach: a daemon, and a federation router in front of one. They
+// share one connection implementation, so they must answer alike; only
+// the role named in their error text differs.
+func forEachFrontEnd(t *testing.T, test func(t *testing.T, addr, role string)) {
+	for _, role := range []string{"daemon", "router"} {
+		t.Run(role, func(t *testing.T) {
+			_, addr := testStack(t)
+			if role == "router" {
+				r := fed.NewRouter([]string{addr}, 0, nil)
+				if err := r.Listen("127.0.0.1:0"); err != nil {
+					t.Fatal(err)
+				}
+				go r.Serve()
+				t.Cleanup(r.Close)
+				addr = r.Addr()
+			}
+			test(t, addr, role)
+		})
+	}
+}
+
+// helloConn dials addr and completes a JSON hello as client name.
+func helloConn(t *testing.T, addr, name string, caps ...string) net.Conn {
+	t.Helper()
+	conn := rawConn(t, addr)
+	hello, _ := netproto.NewEnvelope(1, netproto.OpHello,
+		netproto.HelloBody{Version: netproto.ProtoVersion, Client: name, Caps: caps})
+	if err := netproto.JSON.EncodeFrame(conn, hello); err != nil {
+		t.Fatal(err)
+	}
+	var resp netproto.Response
+	if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil || !resp.OK {
+		t.Fatalf("handshake: %v %+v", err, resp)
+	}
+	return conn
+}
+
+// pingOK round-trips a ping with the given codec: the session is still
+// usable.
+func pingOK(t *testing.T, conn net.Conn, codec netproto.Codec, id uint64) {
+	t.Helper()
+	ping, _ := netproto.NewEnvelope(id, netproto.OpPing, nil)
+	if err := codec.EncodeFrame(conn, ping); err != nil {
+		t.Fatal(err)
+	}
+	var resp netproto.Response
+	if err := codec.DecodeFrame(conn, &resp); err != nil || !resp.OK || resp.ID != id {
+		t.Errorf("ping %d: %v %+v", id, err, resp)
+	}
+}
+
+// A v1 client (no hello, untyped request bag): the first frame is
+// answered with a structured CodeVersion error and the connection
+// closes.
 func TestVersionSkewOldClientNewDaemon(t *testing.T) {
-	_, addr := testStack(t)
-	conn := rawConn(t, addr)
-	if err := netproto.JSON.EncodeFrame(conn, netproto.LegacyRequest{ID: 7, Op: netproto.OpPing, Client: "old"}); err != nil {
-		t.Fatal(err)
-	}
-	var resp netproto.Response
-	if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.ID != 7 {
-		t.Errorf("rejection answered to id %d, want 7", resp.ID)
-	}
-	if resp.Code != netproto.CodeVersion || resp.Err == "" {
-		t.Errorf("old client got %+v, want a CodeVersion error", resp)
-	}
-	// The daemon closes the connection after the rejection.
-	if err := netproto.JSON.DecodeFrame(conn, &resp); err != io.EOF {
-		t.Errorf("connection survived the version rejection: %v", err)
-	}
+	forEachFrontEnd(t, func(t *testing.T, addr, role string) {
+		conn := rawConn(t, addr)
+		if err := netproto.JSON.EncodeFrame(conn, netproto.LegacyRequest{ID: 7, Op: netproto.OpPing, Client: "old"}); err != nil {
+			t.Fatal(err)
+		}
+		var resp netproto.Response
+		if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.ID != 7 {
+			t.Errorf("rejection answered to id %d, want 7", resp.ID)
+		}
+		if resp.Code != netproto.CodeVersion || !strings.Contains(resp.Err, role+" speaks protocol") {
+			t.Errorf("old client got %+v, want a CodeVersion error naming the %s", resp, role)
+		}
+		// The connection closes after the rejection.
+		if err := netproto.JSON.DecodeFrame(conn, &resp); err != io.EOF {
+			t.Errorf("connection survived the version rejection: %v", err)
+		}
+	})
 }
 
-// A hello below the daemon's minimum version is rejected with
-// CodeVersion too.
+// A hello below the minimum version is rejected with CodeVersion and
+// the connection closes.
 func TestVersionSkewTooOldHello(t *testing.T) {
-	_, addr := testStack(t)
-	conn := rawConn(t, addr)
-	env, err := netproto.NewEnvelope(1, netproto.OpHello,
-		netproto.HelloBody{Version: netproto.MinProtoVersion - 1, Client: "v1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := netproto.JSON.EncodeFrame(conn, env); err != nil {
-		t.Fatal(err)
-	}
-	var resp netproto.Response
-	if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Code != netproto.CodeVersion {
-		t.Errorf("too-old hello got %+v, want CodeVersion", resp)
-	}
+	forEachFrontEnd(t, func(t *testing.T, addr, role string) {
+		conn := rawConn(t, addr)
+		env, _ := netproto.NewEnvelope(1, netproto.OpHello,
+			netproto.HelloBody{Version: netproto.MinProtoVersion - 1, Client: "v1"})
+		if err := netproto.JSON.EncodeFrame(conn, env); err != nil {
+			t.Fatal(err)
+		}
+		var resp netproto.Response
+		if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Code != netproto.CodeVersion || !strings.Contains(resp.Err, role+" requires") {
+			t.Errorf("too-old hello got %+v, want CodeVersion naming the %s", resp, role)
+		}
+		if err := netproto.JSON.DecodeFrame(conn, &resp); err != io.EOF {
+			t.Errorf("connection survived the too-old hello: %v", err)
+		}
+	})
 }
 
-// A newer client downgrades gracefully: the daemon answers with its own
+// A newer client downgrades gracefully: the server answers with its own
 // (lower) version and keeps serving.
 func TestVersionSkewNewerClientDowngrades(t *testing.T) {
-	_, addr := testStack(t)
-	conn := rawConn(t, addr)
-	env, _ := netproto.NewEnvelope(1, netproto.OpHello,
-		netproto.HelloBody{Version: netproto.ProtoVersion + 5, Client: "future"})
-	if err := netproto.JSON.EncodeFrame(conn, env); err != nil {
-		t.Fatal(err)
-	}
-	var resp netproto.Response
-	if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !resp.OK || resp.Proto == nil || resp.Proto.Version != netproto.ProtoVersion {
-		t.Fatalf("downgrade handshake got %+v, want negotiated version %d", resp, netproto.ProtoVersion)
-	}
-	// The downgraded session works: a ping round-trips.
-	ping, _ := netproto.NewEnvelope(2, netproto.OpPing, nil)
-	if err := netproto.JSON.EncodeFrame(conn, ping); err != nil {
-		t.Fatal(err)
-	}
-	if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil || !resp.OK {
-		t.Errorf("ping after downgrade: %v %+v", err, resp)
-	}
+	forEachFrontEnd(t, func(t *testing.T, addr, _ string) {
+		conn := rawConn(t, addr)
+		env, _ := netproto.NewEnvelope(1, netproto.OpHello,
+			netproto.HelloBody{Version: netproto.ProtoVersion + 5, Client: "future"})
+		if err := netproto.JSON.EncodeFrame(conn, env); err != nil {
+			t.Fatal(err)
+		}
+		var resp netproto.Response
+		if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if !resp.OK || resp.Proto == nil || resp.Proto.Version != netproto.ProtoVersion {
+			t.Fatalf("downgrade handshake got %+v, want negotiated version %d", resp, netproto.ProtoVersion)
+		}
+		pingOK(t, conn, netproto.JSON, 2)
+	})
 }
 
 // The new client against a daemon that predates the hello op: Dial
@@ -129,66 +180,45 @@ func TestVersionSkewNewClientOldDaemon(t *testing.T) {
 }
 
 // A complete frame with a garbage payload must not cost the connection:
-// the daemon answers CodeFrame and keeps serving.
+// the server answers CodeFrame and keeps serving.
 func TestGarbageFrameRecovered(t *testing.T) {
-	_, addr := testStack(t)
-	conn := rawConn(t, addr)
-	hello, _ := netproto.NewEnvelope(1, netproto.OpHello,
-		netproto.HelloBody{Version: netproto.ProtoVersion, Client: "messy"})
-	if err := netproto.JSON.EncodeFrame(conn, hello); err != nil {
-		t.Fatal(err)
-	}
-	var resp netproto.Response
-	if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil || !resp.OK {
-		t.Fatalf("handshake: %v %+v", err, resp)
-	}
-	// Length-prefixed garbage: 4 bytes of non-JSON.
-	if _, err := conn.Write([]byte{0, 0, 0, 4, '{', '{', '{', '{'}); err != nil {
-		t.Fatal(err)
-	}
-	if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Code != netproto.CodeFrame {
-		t.Errorf("garbage frame answered with %+v, want CodeFrame", resp)
-	}
-	// The session survives: a ping still round-trips.
-	ping, _ := netproto.NewEnvelope(2, netproto.OpPing, nil)
-	if err := netproto.JSON.EncodeFrame(conn, ping); err != nil {
-		t.Fatal(err)
-	}
-	if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil || !resp.OK || resp.ID != 2 {
-		t.Errorf("ping after garbage frame: %v %+v", err, resp)
-	}
+	forEachFrontEnd(t, func(t *testing.T, addr, _ string) {
+		conn := helloConn(t, addr, "messy")
+		// Length-prefixed garbage: 4 bytes of non-JSON.
+		if _, err := conn.Write([]byte{0, 0, 0, 4, '{', '{', '{', '{'}); err != nil {
+			t.Fatal(err)
+		}
+		var resp netproto.Response
+		if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Code != netproto.CodeFrame {
+			t.Errorf("garbage frame answered with %+v, want CodeFrame", resp)
+		}
+		pingOK(t, conn, netproto.JSON, 2)
+	})
 }
 
 // A second hello on an established session is rejected: it would rewrite
 // the session's client identity under running goroutines.
 func TestDuplicateHelloRejected(t *testing.T) {
-	_, addr := testStack(t)
-	conn := rawConn(t, addr)
-	hello, _ := netproto.NewEnvelope(1, netproto.OpHello,
-		netproto.HelloBody{Version: netproto.ProtoVersion, Client: "a"})
-	netproto.JSON.EncodeFrame(conn, hello)
-	var resp netproto.Response
-	if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil || !resp.OK {
-		t.Fatalf("handshake: %v %+v", err, resp)
-	}
-	again, _ := netproto.NewEnvelope(2, netproto.OpHello,
-		netproto.HelloBody{Version: netproto.ProtoVersion, Client: "b"})
-	netproto.JSON.EncodeFrame(conn, again)
-	if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.OK || resp.Code != netproto.CodeBadRequest {
-		t.Errorf("duplicate hello answered with %+v, want CodeBadRequest", resp)
-	}
-	// The original session keeps working.
-	ping, _ := netproto.NewEnvelope(3, netproto.OpPing, nil)
-	netproto.JSON.EncodeFrame(conn, ping)
-	if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil || !resp.OK {
-		t.Errorf("ping after rejected re-hello: %v %+v", err, resp)
-	}
+	forEachFrontEnd(t, func(t *testing.T, addr, _ string) {
+		conn := helloConn(t, addr, "a")
+		again, _ := netproto.NewEnvelope(2, netproto.OpHello,
+			netproto.HelloBody{Version: netproto.ProtoVersion, Client: "b"})
+		if err := netproto.JSON.EncodeFrame(conn, again); err != nil {
+			t.Fatal(err)
+		}
+		var resp netproto.Response
+		if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.OK || resp.Code != netproto.CodeBadRequest {
+			t.Errorf("duplicate hello answered with %+v, want CodeBadRequest", resp)
+		}
+		// The original session keeps working.
+		pingOK(t, conn, netproto.JSON, 3)
+	})
 }
 
 // A JSON-only v2 client against a binary-capable v3 daemon: the daemon
@@ -207,7 +237,7 @@ func TestVersionSkewJSONClientBinaryDaemon(t *testing.T) {
 	if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil || !resp.OK {
 		t.Fatalf("handshake: %v %+v", err, resp)
 	}
-	if resp.Proto == nil || !hasCapability(resp.Proto.Caps, netproto.CapBinary) {
+	if resp.Proto == nil || !slices.Contains(resp.Proto.Caps, netproto.CapBinary) {
 		t.Fatalf("daemon did not advertise %q: %+v", netproto.CapBinary, resp.Proto)
 	}
 	// Hot ops still round-trip as JSON frames.
@@ -263,49 +293,31 @@ func TestVersionSkewBinaryClientNoBinDaemon(t *testing.T) {
 // round-trip as binary frames, and a garbage binary frame is answered
 // with CodeFrame without costing the connection.
 func TestBinarySessionRawFrames(t *testing.T) {
-	_, addr := testStack(t)
-	conn := rawConn(t, addr)
-	hello, _ := netproto.NewEnvelope(1, netproto.OpHello,
-		netproto.HelloBody{Version: netproto.ProtoVersion, Client: "raw-bin",
-			Caps: []string{netproto.CapBinary}})
-	if err := netproto.JSON.EncodeFrame(conn, hello); err != nil {
-		t.Fatal(err)
-	}
-	var resp netproto.Response
-	if err := netproto.JSON.DecodeFrame(conn, &resp); err != nil || !resp.OK {
-		t.Fatalf("handshake: %v %+v", err, resp)
-	}
-	// From here the session speaks binary both ways.
-	ping, _ := netproto.NewEnvelope(2, netproto.OpPing, nil)
-	if err := netproto.Binary.EncodeFrame(conn, ping); err != nil {
-		t.Fatal(err)
-	}
-	if err := netproto.Binary.DecodeFrame(conn, &resp); err != nil || !resp.OK || resp.ID != 2 {
-		t.Fatalf("binary ping: %v %+v", err, resp)
-	}
-	open, _ := netproto.NewEnvelope(3, netproto.OpOpen,
-		netproto.FileBody{Context: "clim", File: "clim_out_00000003.nc"})
-	if err := netproto.Binary.EncodeFrame(conn, open); err != nil {
-		t.Fatal(err)
-	}
-	if err := netproto.Binary.DecodeFrame(conn, &resp); err != nil || !resp.OK || resp.ID != 3 {
-		t.Fatalf("binary open: %v %+v", err, resp)
-	}
-	// An unknown binary opcode is a recoverable frame error.
-	if _, err := conn.Write([]byte{0, 0, 0, 2, 0x7F, 0x01}); err != nil {
-		t.Fatal(err)
-	}
-	if err := netproto.Binary.DecodeFrame(conn, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Code != netproto.CodeFrame {
-		t.Errorf("garbage binary frame answered with %+v, want CodeFrame", resp)
-	}
-	ping2, _ := netproto.NewEnvelope(4, netproto.OpPing, nil)
-	netproto.Binary.EncodeFrame(conn, ping2)
-	if err := netproto.Binary.DecodeFrame(conn, &resp); err != nil || !resp.OK || resp.ID != 4 {
-		t.Errorf("binary ping after garbage frame: %v %+v", err, resp)
-	}
+	forEachFrontEnd(t, func(t *testing.T, addr, _ string) {
+		conn := helloConn(t, addr, "raw-bin", netproto.CapBinary)
+		// From here the session speaks binary both ways.
+		pingOK(t, conn, netproto.Binary, 2)
+		open, _ := netproto.NewEnvelope(3, netproto.OpOpen,
+			netproto.FileBody{Context: "clim", File: "clim_out_00000003.nc"})
+		if err := netproto.Binary.EncodeFrame(conn, open); err != nil {
+			t.Fatal(err)
+		}
+		var resp netproto.Response
+		if err := netproto.Binary.DecodeFrame(conn, &resp); err != nil || !resp.OK || resp.ID != 3 {
+			t.Fatalf("binary open: %v %+v", err, resp)
+		}
+		// An unknown binary opcode is a recoverable frame error.
+		if _, err := conn.Write([]byte{0, 0, 0, 2, 0x7F, 0x01}); err != nil {
+			t.Fatal(err)
+		}
+		if err := netproto.Binary.DecodeFrame(conn, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Code != netproto.CodeFrame {
+			t.Errorf("garbage binary frame answered with %+v, want CodeFrame", resp)
+		}
+		pingOK(t, conn, netproto.Binary, 4)
+	})
 }
 
 // Graceful shutdown: a wait pending when the daemon closes is answered
